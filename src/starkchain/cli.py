@@ -70,34 +70,12 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    from .sweep import _emit_collapse
+    from .sweep import refit_collapse
 
-    config = _load(args)
-    rows_path = Path(config.output_dir) / "sweep.csv"
-    if not rows_path.exists():
-        print(f"no sweep rows at {rows_path}; run simulate first", file=sys.stderr)
-        return EXIT_IO
-    import csv as _csv
-
-    with open(rows_path, newline="", encoding="utf-8") as fh:
-        rows = list(_csv.DictReader(line for line in fh if not line.startswith("#")))
-    results = [
-        {
-            "gamma": float(r["gamma"]),
-            "delta": float(r["delta"]),
-            "L": int(r["L"]),
-            "s_half_steady": float(r["s_half_steady"]),
-            "error": None,
-        }
-        for r in rows
-        if np.isfinite(float(r["s_half_steady"]))
-    ]
-    _emit_collapse(config, Path(config.output_dir), results)
-    fits_path = Path(config.output_dir) / "collapse.json"
-    if not fits_path.exists():
+    fits = refit_collapse(_load(args))
+    if not fits:
         print("no usable rows for any configured gamma", file=sys.stderr)
         return EXIT_PARTIAL
-    fits = json.loads(fits_path.read_text())
     failed = False
     for key, fit in sorted(fits.items()):
         if "error" in fit:
@@ -167,6 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .export import EXPORT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="starkchain",
         description="Nonunitary free-fermion dynamics on a tilted nonreciprocal chain",
@@ -184,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("export")
-    p.add_argument("--kind", required=True,
-                   choices=("s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
-                            "density_heatmap", "collapse", "fractal_map"))
+    p.add_argument("--kind", required=True, choices=EXPORT_KINDS)
     p.add_argument("--output", required=True, help="sweep output directory to read")
     p.add_argument("--out", help="path of the table to write")
     p.add_argument("--gamma", type=float)

@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-import csv
-import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 from .entanglement import entropy_profile
-from .sweep import point_tag, write_csv
+from .sweep import point_tag, read_csv, write_csv
 
 EXPORT_KINDS = (
     "s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
     "density_heatmap", "collapse", "fractal_map",
 )
-
-
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.DictReader(line for line in fh if not line.startswith("#"))]
-    return rows
 
 
 def _require(paths: list[Path]):
@@ -89,7 +82,7 @@ def export_figure_data(
     if kind in ("s_vs_delta", "s_vs_L"):
         src = outdir / "sweep.csv"
         _require([src])
-        rows = _read_csv(src)
+        rows = read_csv(src)
         if gamma is not None:
             rows = [r for r in rows if _close(r["gamma"], gamma)]
         if kind == "s_vs_delta":
@@ -113,7 +106,7 @@ def export_figure_data(
     if kind == "mutual_info":
         src = outdir / "mutual_info.csv"
         _require([src])
-        rows = _read_csv(src)
+        rows = read_csv(src)
         if gamma is not None:
             rows = [r for r in rows if _close(r["gamma"], gamma)]
         table = [[float(r["delta"]), int(r["L"]), float(r["mi"])] for r in rows]
@@ -146,26 +139,17 @@ def export_figure_data(
     if kind == "collapse":
         if gamma is None:
             raise ValueError("collapse export needs gamma")
+        # the rescaled table is already plot-ready and carries the fit in its header
         src = outdir / f"collapse_g{gamma:g}.csv"
-        fits = outdir / "collapse.json"
-        _require([src, fits])
-        rows = _read_csv(src)
-        fit = json.loads(fits.read_text())[f"{gamma:g}"]
-        table = [[float(r["x"]), float(r["y"]), int(r["L"]), float(r["delta"])]
-                 for r in rows]
+        _require([src])
         path = Path(out_path) if out_path else outdir / f"fig_collapse_g{gamma:g}.csv"
-        write_csv(
-            path, ["x", "y", "L", "delta"], table,
-            comments=[
-                f"delta_c={fit['delta_c']:.17e} nu={fit['nu']:.17e} zeta={fit['zeta']:.17e}"
-            ],
-        )
+        shutil.copyfile(src, path)
         return path
 
     # fractal_map
     src = outdir / "fractal.csv"
     _require([src])
-    rows = _read_csv(src)
+    rows = read_csv(src)
     gammas = sorted({float(r["gamma"]) for r in rows})
     deltas = sorted({float(r["delta"]) for r in rows})
     grid = np.full((len(gammas), len(deltas)), np.nan)

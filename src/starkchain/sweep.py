@@ -9,6 +9,7 @@ of the worker count.  Wall-clock timing is therefore only recorded when
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -18,15 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .entanglement import mutual_information, standard_probe_regions, steady_state_entropy
+from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
+                           steady_state_entropy)
 from .model import Boundary, ModelParams, build_hamiltonian
 from .propagation import Schedule, TrajectoryError, run_trajectory
-from .scaling import (
-    CollapseError,
-    ScalingDataset,
-    fit_collapse,
-    power_law_fit,
-)
+from .scaling import (DEFAULT_BOUNDS, DEFAULT_INIT, CollapseError, ScalingDataset,
+                      cft_log_fit, fit_collapse, power_law_fit)
 from .spectral import average_fractal_dimension, phase_boundaries
 
 
@@ -48,8 +46,8 @@ class Analyses:
 
 @dataclass(frozen=True)
 class CollapseOptions:
-    init: tuple = (0.15, 1.9, 2.0)
-    bounds: tuple = ((0.005, 1.0), (0.5, 4.0), (0.5, 4.0))
+    init: tuple = DEFAULT_INIT
+    bounds: tuple = DEFAULT_BOUNDS
     window_min_delta: object = 0.1   # scalar, or {gamma: value} mapping
     bootstrap_n: int = 100
     seed: int = 7
@@ -179,6 +177,12 @@ def write_csv(path: Path, header: list, rows: list, comments: list | None = None
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_csv(path: Path) -> list[dict]:
+    """Rows of a write_csv file as header-keyed strings, in file order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -241,9 +245,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         n_tail = max(1, int(round(sm.tail_fraction * len(mi_vals))))
         result["mi_steady"] = float(np.mean(mi_vals[-n_tail:]))
 
-    keep_detail = (config.save_trajectories or config.analyses.cft_fit
-                   or config.analyses.density_movie)
-    if keep_detail:
+    if config.save_trajectories or config.analyses.cft_fit or config.analyses.density_movie:
         detail = {
             "gamma": np.float64(gamma),
             "delta": np.float64(delta),
@@ -283,21 +285,21 @@ def _run_grid(config: SweepConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers
+# emitters: each writes one kind of output file and returns what it wrote
 
-def _emit_rows(outdir: Path, results: list) -> Path:
-    rows = [[r[c] for c in ROW_COLUMNS] for r in results]
+def _output_dir(config: SweepConfig) -> Path:
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[list, dict]:
+    """Write sweep.csv and each enabled analysis; return the files and the collapse fits."""
     path = outdir / "sweep.csv"
-    write_csv(path, ROW_COLUMNS, rows)
-    return path
-
-
-def _emit_analyses(config: SweepConfig, outdir: Path, results: list) -> list:
-    from .entanglement import entropy_profile  # local import keeps module load light
-    from .scaling import cft_log_fit
-
-    files = []
+    write_csv(path, ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
+    files = [path]
     ok = [r for r in results if r["error"] is None]
+    detailed = [r for r in ok if r["detail"] is not None]
 
     if config.analyses.mutual_info:
         mi_rows = [
@@ -327,25 +329,17 @@ def _emit_analyses(config: SweepConfig, outdir: Path, results: list) -> list:
             write_json(path, fits)
             files.append(path)
 
+    collapse_fits = {}
     if config.analyses.collapse:
-        files.extend(_emit_collapse(config, outdir, ok))
+        collapse_files, collapse_fits = _emit_collapse(config, outdir, ok)
+        files.extend(collapse_files)
 
     if config.analyses.fractal:
-        frows = []
-        L = max(config.sizes)
-        for g in sorted(config.gamma_values):
-            for d in sorted(config.delta_values):
-                params = ModelParams(g, d, L, config.boundary)
-                frows.append([g, d, L, average_fractal_dimension(build_hamiltonian(params))])
-        path = outdir / "fractal.csv"
-        write_csv(path, ["gamma", "delta", "L", "gamma_bar"], frows)
-        files.append(path)
+        files.append(_emit_fractal(config, outdir))
 
     if config.analyses.cft_fit:
         fit_entries = {}
-        for r in ok:
-            if r["detail"] is None:
-                continue
+        for r in detailed:
             prof = entropy_profile(r["detail"]["final_correlation"])
             tag = point_tag(r["gamma"], r["delta"], r["L"])
             path = outdir / f"profile_{tag}.csv"
@@ -364,9 +358,7 @@ def _emit_analyses(config: SweepConfig, outdir: Path, results: list) -> list:
             files.append(path)
 
     if config.analyses.density_movie:
-        for r in ok:
-            if r["detail"] is None:
-                continue
+        for r in detailed:
             tag = point_tag(r["gamma"], r["delta"], r["L"])
             path = outdir / f"density_{tag}.csv"
             steps = r["detail"]["density_steps"]
@@ -378,25 +370,25 @@ def _emit_analyses(config: SweepConfig, outdir: Path, results: list) -> list:
             write_csv(path, ["step", "site", "n"], rows)
             files.append(path)
 
-    if config.save_trajectories or config.analyses.cft_fit or config.analyses.density_movie:
-        for r in ok:
-            if r["detail"] is None:
-                continue
-            tag = point_tag(r["gamma"], r["delta"], r["L"])
-            path = outdir / f"traj_{tag}.npz"
-            np.savez(path, **r["detail"])
-            files.append(path)
+    for r in detailed:
+        path = outdir / f"traj_{point_tag(r['gamma'], r['delta'], r['L'])}.npz"
+        np.savez(path, **r["detail"])
+        files.append(path)
 
-    return files
+    return files, collapse_fits
 
 
-def _emit_collapse(config: SweepConfig, outdir: Path, ok_results: list) -> list:
+def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list, dict]:
+    """Fit each configured gamma's finite rows; return the files written and the fits.
+
+    The order of `rows` sets the bootstrap resamples.
+    """
     files = []
     fits = {}
     for g in sorted(config.gamma_values):
         pts = [
             (r["L"], r["delta"], r["s_half_steady"])
-            for r in ok_results if r["gamma"] == g and np.isfinite(r["s_half_steady"])
+            for r in rows if r["gamma"] == g and np.isfinite(r["s_half_steady"])
         ]
         if not pts:
             continue
@@ -430,7 +422,38 @@ def _emit_collapse(config: SweepConfig, outdir: Path, ok_results: list) -> list:
         path = outdir / "collapse.json"
         write_json(path, fits)
         files.append(path)
-    return files
+    return files, fits
+
+
+def _emit_fractal(config: SweepConfig, outdir: Path) -> Path:
+    """Mean fractal dimension of H over the (gamma, delta) grid at the largest size."""
+    L = max(config.sizes)
+    rows = [
+        [g, d, L, average_fractal_dimension(
+            build_hamiltonian(ModelParams(g, d, L, config.boundary)))]
+        for g in sorted(config.gamma_values) for d in sorted(config.delta_values)
+    ]
+    path = outdir / "fractal.csv"
+    write_csv(path, ["gamma", "delta", "L", "gamma_bar"], rows)
+    return path
+
+
+def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict) -> Path:
+    """Per-gamma fitted delta_c (NaN without a fit in `fits`) and analytic boundaries."""
+    nan = float("nan")
+    L = max(config.sizes)
+    rows = []
+    for g in sorted(config.gamma_values):
+        fit = fits.get(f"{g:g}", {})
+        try:
+            pb = phase_boundaries(g, L)
+            d1, d2 = pb.delta_i, pb.delta_ii
+        except ValueError:
+            d1, d2 = nan, nan
+        rows.append([g, fit.get("delta_c", nan), fit.get("delta_c_err", nan), d1, d2])
+    path = outdir / "boundaries.csv"
+    write_csv(path, ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], rows)
+    return path
 
 
 def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> dict:
@@ -451,6 +474,9 @@ def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> di
     return manifest
 
 
+# ---------------------------------------------------------------------------
+# drivers
+
 def run_sweep(config: SweepConfig) -> dict:
     """Run the full (gamma, delta, L) grid and persist rows plus analyses.
 
@@ -458,85 +484,57 @@ def run_sweep(config: SweepConfig) -> dict:
     SHA-256.  A failing grid point is recorded in its row and in the manifest
     but does not abort the rest of the sweep.
     """
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(config)
     results = _run_grid(config)
-    files = [_emit_rows(outdir, results)]
-    files.extend(_emit_analyses(config, outdir, results))
+    files, _ = _emit_results(config, outdir, results)
     return _finish(config, outdir, results, files)
 
 
 def run_phase_diagram(config: SweepConfig) -> dict:
     """Half-chain entropy heat map over (gamma, delta) plus fitted/analytic boundaries.
 
-    The heat map uses the largest configured size; the companion boundaries
-    file carries the per-gamma collapse estimate of the transition point next
-    to the analytic skin-effect and tilt-localization boundaries.
+    Writes what run_sweep writes with the collapse analysis switched on, plus
+    phase_diagram.csv (the heat map at the largest configured size) and
+    boundaries.csv (the per-gamma collapse estimate of the transition point
+    next to the analytic skin-effect and tilt-localization boundaries).
     """
     if len(config.gamma_values) < 2 or len(config.delta_values) < 2:
         raise ValueError("phase diagram needs at least 2 gamma and 2 delta values")
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(config)
     results = _run_grid(config)
-    files = [_emit_rows(outdir, results)]
+    with_collapse = replace(config, analyses=replace(config.analyses, collapse=True))
+    files, fits = _emit_results(with_collapse, outdir, results)
 
-    ok = [r for r in results if r["error"] is None]
     l_max = max(config.sizes)
-    grid_rows = [
-        [r["gamma"], r["delta"], r["s_half_steady"]]
-        for r in ok if r["L"] == l_max
-    ]
+    grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
+                 for r in results if r["error"] is None and r["L"] == l_max]
     path = outdir / "phase_diagram.csv"
     write_csv(path, ["gamma", "delta", "s_half"], grid_rows)
     files.append(path)
-
-    cfg = replace(config, analyses=replace(config.analyses, collapse=True))
-    files.extend(_emit_collapse(cfg, outdir, ok))
-
-    brows = []
-    fits_path = outdir / "collapse.json"
-    fits = json.loads(fits_path.read_text()) if fits_path.exists() else {}
-    for g in sorted(config.gamma_values):
-        fit = fits.get(f"{g:g}", {})
-        delta_c = fit.get("delta_c", float("nan"))
-        delta_c_err = fit.get("delta_c_err", float("nan"))
-        try:
-            pb = phase_boundaries(g, l_max)
-            d1, d2 = pb.delta_i, pb.delta_ii
-        except ValueError:
-            d1, d2 = float("nan"), float("nan")
-        brows.append([g, delta_c, delta_c_err, d1, d2])
-    path = outdir / "boundaries.csv"
-    write_csv(path, ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], brows)
-    files.append(path)
-
-    files.extend(_emit_analyses(config, outdir, results))
+    files.append(_emit_boundaries(config, outdir, fits))
     return _finish(config, outdir, results, files)
 
 
 def run_spectral(config: SweepConfig) -> dict:
     """Average fractal dimension over the grid plus analytic boundaries."""
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    L = max(config.sizes)
-    rows = []
-    for g in sorted(config.gamma_values):
-        for d in sorted(config.delta_values):
-            params = ModelParams(g, d, L, config.boundary)
-            rows.append([g, d, L, average_fractal_dimension(build_hamiltonian(params))])
-    files = []
-    path = outdir / "fractal.csv"
-    write_csv(path, ["gamma", "delta", "L", "gamma_bar"], rows)
-    files.append(path)
-
-    brows = []
-    for g in sorted(config.gamma_values):
-        try:
-            pb = phase_boundaries(g, L)
-            brows.append([g, float("nan"), float("nan"), pb.delta_i, pb.delta_ii])
-        except ValueError:
-            brows.append([g, float("nan"), float("nan"), float("nan"), float("nan")])
-    path = outdir / "boundaries.csv"
-    write_csv(path, ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], brows)
-    files.append(path)
+    outdir = _output_dir(config)
+    files = [_emit_fractal(config, outdir), _emit_boundaries(config, outdir, {})]
     return _finish(config, outdir, [], files)
+
+
+def refit_collapse(config: SweepConfig) -> dict:
+    """Refit the collapse on the output directory's sweep.csv, rows in file order.
+
+    Returns the fits by gamma key; an empty dict means no configured gamma had
+    a finite row, and then nothing was written.
+    """
+    outdir = Path(config.output_dir)
+    path = outdir / "sweep.csv"
+    if not path.exists():
+        raise FileNotFoundError(f"no sweep rows at {path}; run simulate first")
+    rows = [
+        {"gamma": float(r["gamma"]), "delta": float(r["delta"]), "L": int(r["L"]),
+         "s_half_steady": float(r["s_half_steady"])}
+        for r in read_csv(path)
+    ]
+    return _emit_collapse(config, outdir, rows)[1]

@@ -7,7 +7,8 @@ import pytest
 from starkchain import SweepConfig, config_from_dict, run_phase_diagram, run_spectral, run_sweep
 from starkchain.cli import main as cli_main
 from starkchain.export import export_figure_data
-from starkchain.sweep import Analyses, Schedule, point_tag
+from starkchain import sweep as sweep_mod
+from starkchain.sweep import ROW_COLUMNS, Analyses, Schedule, point_tag, write_csv
 
 FAST = {
     "gamma_values": [-0.5],
@@ -20,6 +21,14 @@ FAST = {
 
 def read_bytes_map(outdir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.is_file()}
+
+
+def failed_point(gamma, delta, length) -> dict:
+    """A grid-point result as _run_point records a failure."""
+    return {"gamma": gamma, "delta": delta, "L": length, "boundary": "open",
+            "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
+            "converged": False, "wall_time_s": 0.0, "error": "synthetic failure",
+            "mi_steady": None, "detail": None}
 
 
 def test_single_point_sweep_smoke(tmp_path):
@@ -105,22 +114,11 @@ def test_row_failure_isolation(tmp_path):
         "output_dir": str(tmp_path / "out"),
     })
 
-    from starkchain import sweep as sweep_mod
-
     original = sweep_mod._run_point
 
     def flaky(config, gamma, delta, length):
         if delta == 0.1:
-            res = dict.fromkeys(
-                ["gamma", "delta", "L", "boundary", "s_half_steady",
-                 "s_half_raw_final", "converged", "wall_time_s", "error",
-                 "mi_steady", "detail"]
-            )
-            res.update({"gamma": gamma, "delta": delta, "L": length,
-                        "boundary": "open", "s_half_steady": float("nan"),
-                        "s_half_raw_final": float("nan"), "converged": False,
-                        "wall_time_s": 0.0, "error": "synthetic failure"})
-            return res
+            return failed_point(gamma, delta, length)
         return original(config, gamma, delta, length)
 
     sweep_mod._run_point = flaky
@@ -156,6 +154,51 @@ def test_phase_diagram_outputs(tmp_path):
     bounds = (out / "boundaries.csv").read_text().splitlines()
     assert bounds[0] == "gamma,delta_c,delta_c_err,delta_i,delta_ii"
     assert len(bounds) == 3
+
+
+def test_phase_diagram_fits_each_gamma_once(tmp_path, monkeypatch):
+    calls = []
+    real_fit = sweep_mod.fit_collapse
+
+    def counting_fit(data, **kwargs):
+        calls.append(len(data))
+        return real_fit(data, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "fit_collapse", counting_fit)
+    cfg = config_from_dict({
+        "gamma_values": [-0.5, -0.3],
+        "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
+        "sizes": [8, 12, 16],
+        "schedule": {"dt": 10.0, "steps": 60, "sample_stride": 20},
+        "analyses": {"collapse": True},
+        "collapse_options": {"window_min_delta": None, "bootstrap_n": 0},
+        "output_dir": str(tmp_path / "out"),
+    })
+    manifest = run_phase_diagram(cfg)
+    assert calls == [15, 15]  # one fit per gamma, on its 5 x 3 points
+    paths = [entry["path"] for entry in manifest["files"]]
+    assert len(paths) == len(set(paths))
+    assert {"collapse.json", "collapse_g-0.5.csv", "collapse_g-0.3.csv"} <= set(paths)
+
+
+def test_phase_diagram_boundaries_use_only_this_runs_fits(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = {"delta_c": 0.2, "delta_c_err": 0.01}
+    (out / "collapse.json").write_text(json.dumps({"-0.5": stale, "-0.3": stale}))
+    monkeypatch.setattr(sweep_mod, "_run_point",
+                        lambda config, g, d, L: failed_point(g, d, L))
+    cfg = config_from_dict({
+        "gamma_values": [-0.5, -0.3],
+        "delta_values": [0.05, 0.3],
+        "sizes": [8],
+        "output_dir": str(out),
+    })
+    assert run_phase_diagram(cfg)["status"] == "partial"
+    rows = (out / "boundaries.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert np.isnan(float(row.split(",")[1]))  # no fit this run: delta_c is NaN
 
 
 def test_phase_diagram_needs_2x2():
@@ -273,8 +316,6 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_collapse_on_synthetic_rows(tmp_path):
     # synthetic sweep rows following the exact scaling ansatz
-    from starkchain.sweep import write_csv, ROW_COLUMNS
-
     out = tmp_path / "out"
     out.mkdir()
     rows = []
@@ -303,6 +344,27 @@ def test_cli_collapse_on_synthetic_rows(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0].startswith("# delta_c=")
     assert lines[1] == "x,y,L,delta"
+
+
+def test_cli_collapse_without_rows_for_configured_gamma(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_csv(out / "sweep.csv", ROW_COLUMNS,
+              [[-0.5, d, L, "open", 1.0, 1.0, True, 0.0]
+               for d in (0.1, 0.2) for L in (32, 64)])
+    # a previous run's fit for another gamma must not be reported as this run's
+    (out / "collapse.json").write_text(json.dumps({"-0.5": {
+        "delta_c": 0.15, "delta_c_err": 0.01, "nu": 1.9, "zeta": 2.0, "quality": 1e-3,
+    }}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "gamma_values": [-0.3], "delta_values": [0.1], "sizes": [32],
+        "output_dir": str(out),
+    }))
+    assert cli_main(["collapse", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert "no usable rows" in captured.err
+    assert "delta_c" not in captured.out
 
 
 def test_point_tag_stability():
