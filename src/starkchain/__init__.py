@@ -28,7 +28,6 @@ from .model import (
 )
 from .propagation import (
     Propagator,
-    PropagatorError,
     RankDeficiencyError,
     Schedule,
     SlaterState,
@@ -70,6 +69,7 @@ from .sweep import (
     SweepConfig,
     config_from_dict,
     load_config,
+    refit_collapse,
     run_phase_diagram,
     run_spectral,
     run_sweep,

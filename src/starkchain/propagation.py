@@ -1,30 +1,26 @@
 """Nonunitary time evolution of Slater determinants with per-step QR.
 
 The state is an L x N matrix of single-particle orbitals.  One step multiplies
-the orbitals by the fixed step matrix exp(-i H dt) and re-orthonormalizes the
-columns by a QR factorization, which both normalizes the many-body state and
-keeps the numerics stable against the exponential amplitude growth of
-nonreciprocal evolution.  The two-point correlation matrix of the state is
+the orbitals by the fixed step matrix exp(-i H dt), built once by
+scaling-and-squaring, and re-orthonormalizes the columns by a QR
+factorization, which both normalizes the many-body state and keeps the
+numerics stable against the exponential amplitude growth of nonreciprocal
+evolution.  The two-point correlation matrix of the state is
 C = (Q Q^dag)^T, a Hermitian projector of rank N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
 from .entanglement import gaussian_smooth, half_chain_entropy
-from .model import Hamiltonian, ModelParams, as_matrix, build_hamiltonian
-from .spectral import BiorthogonalError, biorthogonal_eigendecomposition
+from .model import ModelParams, as_matrix, build_hamiltonian
 
 RANK_TOL = 1e-300
-
-
-class PropagatorError(RuntimeError):
-    pass
 
 
 class RankDeficiencyError(RuntimeError):
@@ -66,32 +62,18 @@ class Propagator:
 
     step_matrix: np.ndarray
     dt: float
-    method: str = "eig"
 
 
-def make_propagator(H, dt: float, method: str = "eig") -> Propagator:
+def make_propagator(H, dt: float) -> Propagator:
     """Build exp(-i H dt) once, for repeated application.
 
-    method="eig" assembles the exponential from the biorthogonal mode
-    expansion (O(L^3) once, exact to eigensolver accuracy) and raises
-    PropagatorError when the left/right overlaps fall below 1e-12; in that
-    near-defective regime use method="expm" (scaling-and-squaring), which is
-    slower per call but unconditional.
+    Scaling-and-squaring (scipy.linalg.expm) needs no eigenbasis, so it holds
+    for the non-normal, near-defective H of the skin regime, where the
+    biorthogonal mode expansion loses accuracy.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    M = as_matrix(H)
-    if method == "expm":
-        return Propagator(scipy.linalg.expm(-1j * dt * M), dt, "expm")
-    if method != "eig":
-        raise ValueError(f"unknown propagator method {method!r}")
-    try:
-        spec = biorthogonal_eigendecomposition(M)
-    except BiorthogonalError as err:
-        raise PropagatorError(
-            f"biorthogonal propagator failed: {err}; rebuild with method='expm'"
-        ) from err
-    return Propagator(spec.evolution_operator(dt), dt, "eig")
+    return Propagator(scipy.linalg.expm(-1j * dt * as_matrix(H)), dt)
 
 
 def step_qr(state: SlaterState, prop: Propagator) -> SlaterState:
@@ -181,8 +163,6 @@ class TrajectoryRecord:
     density_series: np.ndarray
     final_correlation: np.ndarray
     converged: bool = False
-    propagator_method: str = "eig"
-    ee_label: str = field(default="half-chain entropy (nats)", repr=False)
 
 
 def _tail_plateau(ee: list, window: int, sigma: float, tol: float) -> bool:
@@ -214,12 +194,7 @@ def run_trajectory(
     consecutive steps.  on_sample(step, state, C), if given, is called at every
     density sample for additional observables.
     """
-    H = build_hamiltonian(params)
-    try:
-        prop = make_propagator(H, schedule.dt, method="eig")
-    except PropagatorError:
-        prop = make_propagator(H, schedule.dt, method="expm")
-
+    prop = make_propagator(build_hamiltonian(params), schedule.dt)
     state = init_z2_state(params.length)
     C = correlation_matrix(state)
     ee = [half_chain_entropy(C)]
@@ -272,5 +247,4 @@ def run_trajectory(
         density_series=np.asarray(densities),
         final_correlation=C,
         converged=converged,
-        propagator_method=prop.method,
     )

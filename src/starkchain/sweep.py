@@ -285,7 +285,7 @@ def _run_grid(config: SweepConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# emitters: each writes one kind of output file and returns what it wrote
+# output emitters
 
 def _output_dir(config: SweepConfig) -> Path:
     outdir = Path(config.output_dir)
@@ -475,7 +475,7 @@ def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> di
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# runners
 
 def run_sweep(config: SweepConfig) -> dict:
     """Run the full (gamma, delta, L) grid and persist rows plus analyses.
