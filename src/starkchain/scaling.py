@@ -65,6 +65,13 @@ class ScalingDataset:
         return ScalingDataset(self.sizes[keep], self.deltas[keep],
                               self.values[keep], self.weights[keep])
 
+    def rescaled(self, delta_c: float, nu: float, zeta: float):
+        """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu})."""
+        sizes = self.sizes.astype(float)
+        x = sizes ** (1.0 / nu) * (self.deltas - delta_c)
+        y = self.values * sizes ** (-zeta / nu)
+        return x, y
+
     def require_fit_invariants(self):
         """Collapse fitting needs >= 3 distinct sizes and >= 5 distinct deltas."""
         n_l = len(np.unique(self.sizes))
@@ -96,67 +103,96 @@ def power_law_fit(sizes: Sequence[int], values: Sequence[float]) -> PowerLawFit:
     return PowerLawFit(beta=beta, stderr=stderr)
 
 
-def _rescale(data: ScalingDataset, delta_c: float, nu: float, zeta: float):
-    sizes = data.sizes.astype(float)
-    x = sizes ** (1.0 / nu) * (data.deltas - delta_c)
-    y = data.values * sizes ** (-zeta / nu)
-    return x, y
+def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(q[i], xp[i], fp[i]) for every row i, branch for branch.
+
+    Rows of xp are non-decreasing; the end values of each row are its left and
+    right fill values, as in np.interp's defaults.
+    """
+    n_rows, k = xp.shape
+    if k == 0:
+        raise ValueError("array of sample points is empty")
+    if k == 1:
+        return fp[:, 0].copy()
+    rows = np.arange(n_rows)
+    j = np.count_nonzero(xp <= q[:, None], axis=1) - 1  # last j with xp[j] <= q
+    jc = np.minimum(np.maximum(j, 0), k - 2)
+    x0, x1 = xp[rows, jc], xp[rows, jc + 1]
+    f0, f1 = fp[rows, jc], fp[rows, jc + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (f1 - f0) / (x1 - x0)
+        out = slope * (q - x0) + f0
+        retry = np.isnan(out)
+        if retry.any():
+            # np.interp retries a NaN from the right end of the interval
+            again = slope * (q - x1) + f1
+            again = np.where(np.isnan(again) & (f0 == f1), f0, again)
+            out = np.where(retry, again, out)
+    out = np.where(x0 == q, f0, out)
+    out = np.where(j < 0, fp[:, 0], np.where(j == k - 1, fp[:, k - 1], out))
+    return np.where(np.isnan(q), q, out)
 
 
 def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: float,
                      neighbors: int = 3) -> float:
     """Weighted mean squared deviation of each point from the local master curve.
 
-    For every point, each other size contributes a linear interpolation through
-    its `neighbors` nearest points in x; the point's residual is taken against
-    the mean of those per-size estimates.  Zero for a perfect collapse where
-    sizes share x grid points.
+    Every point gets one estimate from each other size.  That size's points
+    are sorted by rescaled x (stably); the `neighbors` of them nearest to the
+    point's x, chosen by np.argpartition of |x_j - x|, give a linear
+    interpolation with np.interp's semantics: flat extrapolation at the end
+    values beyond the neighbors' x-range, and the grid value where x equals a
+    neighbor's x.  A distance tie at the last chosen place goes the way
+    np.argpartition's selection goes, which is fixed for given data but not
+    by index order (the tie can go to a later index).  A size with a single
+    point estimates its y.  The residual is taken against the mean of the
+    estimates (sizes in ascending order), and the squares are summed in point
+    order.  Zero for a perfect collapse where sizes share x grid points.
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    x, y = _rescale(data, delta_c, nu, zeta)
+    x, y = data.rescaled(delta_c, nu, zeta)
     unique_sizes = np.unique(data.sizes)
-    if len(unique_sizes) < 2:
+    group = np.searchsorted(unique_sizes, data.sizes)
+    n_sizes = len(unique_sizes)
+    if n_sizes < 2:
         raise CollapseError("collapse undefined for fewer than 2 sizes")
 
-    by_size = {}
-    for s in unique_sizes:
-        mask = data.sizes == s
-        order = np.argsort(x[mask], kind="stable")
-        by_size[s] = (x[mask][order], y[mask][order])
-
-    ranges = {s: (xs[0], xs[-1]) for s, (xs, _) in by_size.items()}
-    overlapping = any(
-        ranges[a][0] <= ranges[b][1] and ranges[b][0] <= ranges[a][1]
-        for i, a in enumerate(unique_sizes)
-        for b in unique_sizes[i + 1:]
-    )
-    if not overlapping:
+    # points sorted by (size, x); lexsort is stable, like a per-size stable argsort
+    order = np.lexsort((x, group))
+    x_sorted, y_sorted = x[order], y[order]
+    edges = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_sizes))))
+    lo, hi = x_sorted[edges[:-1]], x_sorted[edges[1:] - 1]
+    overlap = (lo[:, None] <= hi[None, :]) & (lo[None, :] <= hi[:, None])
+    if not np.triu(overlap, 1).any():
         raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
 
-    total = 0.0
-    wsum = 0.0
-    for p in range(len(data)):
-        estimates = []
-        for s in unique_sizes:
-            if s == data.sizes[p]:
-                continue
-            xs, ys = by_size[s]
-            if len(xs) == 1:
-                estimates.append(ys[0])
-                continue
-            k = min(neighbors, len(xs))
-            near = np.argpartition(np.abs(xs - x[p]), k - 1)[:k]
-            near.sort()
-            estimates.append(float(np.interp(x[p], xs[near], ys[near])))
-        if not estimates:
+    # one estimate per (point, other size), filled in ascending size order
+    estimates = np.empty((len(data), n_sizes - 1))
+    flat = estimates.reshape(-1)
+    pending = {}  # interpolation width -> [(queries, xp rows, fp rows, flat slots)]
+    for s in range(n_sizes):
+        xs = x_sorted[edges[s]:edges[s + 1]]
+        ys = y_sorted[edges[s]:edges[s + 1]]
+        others = np.flatnonzero(group != s)
+        slots = others * (n_sizes - 1) + s - (group[others] < s)
+        if len(xs) == 1:
+            flat[slots] = ys[0]
             continue
-        r = y[p] - float(np.mean(estimates))
-        total += data.weights[p] * r * r
-        wsum += data.weights[p]
+        k = min(neighbors, len(xs))
+        q = x[others]
+        near = np.argpartition(np.abs(xs - q[:, None]), k - 1, axis=1)[:, :k]
+        near.sort(axis=1)
+        pending.setdefault(near.shape[1], []).append((q, xs[near], ys[near], slots))
+    for parts in pending.values():
+        q, xp, fp, slots = (np.concatenate(a) for a in zip(*parts))
+        flat[slots] = _interp_rows(q, xp, fp)
+    r = y - np.mean(estimates, axis=1)
+    # running sums keep the point-by-point summation order
+    wsum = np.cumsum(data.weights)[-1]
     if wsum == 0:
         raise CollapseError("no point could be scored against another size")
-    return total / wsum
+    return np.cumsum(data.weights * r * r)[-1] / wsum
 
 
 @dataclass(frozen=True)
@@ -199,7 +235,7 @@ def _normalized_quality(data: ScalingDataset, p) -> float:
         q = collapse_quality(data, p[0], p[1], p[2])
     except CollapseError:
         return 1e12
-    _, y = _rescale(data, p[0], p[1], p[2])
+    _, y = data.rescaled(p[0], p[1], p[2])
     var = float(np.var(y))
     return q / var if var > 0 else q
 

@@ -381,8 +381,11 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[lis
 def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list, dict]:
     """Fit each configured gamma's finite rows; return the files written and the fits.
 
-    The order of `rows` sets the bootstrap resamples.
+    The order of `rows` sets the bootstrap resamples.  Earlier collapse files in
+    `outdir` are removed first, so it holds exactly this call's fits.
     """
+    for stale in [outdir / "collapse.json", *outdir.glob("collapse_g*.csv")]:
+        stale.unlink(missing_ok=True)
     files = []
     fits = {}
     for g in sorted(config.gamma_values):
@@ -408,8 +411,7 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
             fits[f"{g:g}"] = {"error": str(err)}
             continue
         fits[f"{g:g}"] = fit.as_dict()
-        x = data.sizes.astype(float) ** (1.0 / fit.nu) * (data.deltas - fit.delta_c)
-        y = data.values * data.sizes.astype(float) ** (-fit.zeta / fit.nu)
+        x, y = data.rescaled(fit.delta_c, fit.nu, fit.zeta)
         order = np.lexsort((x,))
         path = outdir / f"collapse_g{g:g}.csv"
         write_csv(

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: entropies come from
 brute-force many-body linear algebra in the full 2^L Fock space, evolution
-comes from a dense matrix exponential applied in one shot, and the periodic
-chain's long-time state comes from its eigensystem, with no time stepping.
+comes from a dense matrix exponential applied in one shot, the periodic
+chain's long-time state comes from its eigensystem, with no time stepping,
+and the collapse objective is scored point by point in a plain double loop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+
+from starkchain import CollapseError
 
 
 def creation_operators(length: int) -> list[np.ndarray]:
@@ -126,3 +129,59 @@ def random_slater_orbitals(length: int, n_particles: int,
     X = rng.normal(size=(length, n_particles)) + 1j * rng.normal(size=(length, n_particles))
     Q, _ = np.linalg.qr(X)
     return Q
+
+
+def loop_collapse_quality(data, delta_c: float, nu: float, zeta: float,
+                          neighbors: int = 3) -> float:
+    """The collapse objective as a Python loop over points and other sizes.
+
+    `starkchain.scaling.collapse_quality` computes the same number in one
+    batched pass and must match this function bit for bit, errors included.
+    """
+    if nu <= 0:
+        raise ValueError(f"nu must be > 0, got {nu}")
+    sizes = data.sizes.astype(float)
+    x = sizes ** (1.0 / nu) * (data.deltas - delta_c)
+    y = data.values * sizes ** (-zeta / nu)
+    unique_sizes = np.unique(data.sizes)
+    if len(unique_sizes) < 2:
+        raise CollapseError("collapse undefined for fewer than 2 sizes")
+
+    by_size = {}
+    for s in unique_sizes:
+        mask = data.sizes == s
+        order = np.argsort(x[mask], kind="stable")
+        by_size[s] = (x[mask][order], y[mask][order])
+
+    ranges = {s: (xs[0], xs[-1]) for s, (xs, _) in by_size.items()}
+    overlapping = any(
+        ranges[a][0] <= ranges[b][1] and ranges[b][0] <= ranges[a][1]
+        for i, a in enumerate(unique_sizes)
+        for b in unique_sizes[i + 1:]
+    )
+    if not overlapping:
+        raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
+
+    total = 0.0
+    wsum = 0.0
+    for p in range(len(data)):
+        estimates = []
+        for s in unique_sizes:
+            if s == data.sizes[p]:
+                continue
+            xs, ys = by_size[s]
+            if len(xs) == 1:
+                estimates.append(ys[0])
+                continue
+            k = min(neighbors, len(xs))
+            near = np.argpartition(np.abs(xs - x[p]), k - 1)[:k]
+            near.sort()
+            estimates.append(float(np.interp(x[p], xs[near], ys[near])))
+        if not estimates:
+            continue
+        r = y[p] - float(np.mean(estimates))
+        total += data.weights[p] * r * r
+        wsum += data.weights[p]
+    if wsum == 0:
+        raise CollapseError("no point could be scored against another size")
+    return total / wsum

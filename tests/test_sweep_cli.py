@@ -314,18 +314,22 @@ def test_cli_exit_codes(tmp_path):
     ]) == 3
 
 
-def test_cli_collapse_on_synthetic_rows(tmp_path):
-    # synthetic sweep rows following the exact scaling ansatz
-    out = tmp_path / "out"
-    out.mkdir()
+def synthetic_collapse_rows(gamma) -> list:
+    """Sweep rows for one gamma that follow the exact scaling ansatz."""
     rows = []
     x_grid = np.linspace(-1.2, 2.0, 7)
     for L in (32, 64, 96, 128):
         deltas = 0.15 + x_grid * L ** (-1.0 / 1.9)
         s = L ** (2.0 / 1.9) * (1.0 / (1.0 + x_grid**2) + 0.5)
         for d, v in zip(deltas, s):
-            rows.append([-0.5, d, L, "open", v, v, True, 0.0])
-    write_csv(out / "sweep.csv", ROW_COLUMNS, rows)
+            rows.append([gamma, d, L, "open", v, v, True, 0.0])
+    return rows
+
+
+def test_cli_collapse_on_synthetic_rows(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_csv(out / "sweep.csv", ROW_COLUMNS, synthetic_collapse_rows(-0.5))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "gamma_values": [-0.5],
@@ -365,6 +369,32 @@ def test_cli_collapse_without_rows_for_configured_gamma(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "no usable rows" in captured.err
     assert "delta_c" not in captured.out
+
+
+def test_cli_collapse_refit_without_rows_removes_earlier_fit(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "gamma_values": [-0.3],
+        "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
+        "sizes": [32, 64, 96, 128],
+        "collapse_options": {"window_min_delta": None, "bootstrap_n": 2, "seed": 3},
+        "output_dir": str(out),
+    }))
+    write_csv(out / "sweep.csv", ROW_COLUMNS, synthetic_collapse_rows(-0.3))
+    assert cli_main(["collapse", "--config", str(cfg_path)]) == 0
+    assert (out / "collapse_g-0.3.csv").exists()
+
+    # the rows now hold another gamma: the refit writes nothing and exits 1,
+    # and the first fit must not survive to be exported as this one's
+    write_csv(out / "sweep.csv", ROW_COLUMNS, synthetic_collapse_rows(-0.5))
+    assert cli_main(["collapse", "--config", str(cfg_path)]) == 1
+    assert not (out / "collapse_g-0.3.csv").exists()
+    assert not (out / "collapse.json").exists()
+    assert cli_main([
+        "export", "--kind", "collapse", "--output", str(out), "--gamma", "-0.3",
+    ]) != 0
 
 
 def test_point_tag_stability():
