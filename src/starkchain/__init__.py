@@ -7,9 +7,11 @@ diagnostics, finite-size data collapse, and a config-driven sweep runner.
 """
 
 from .entanglement import (
+    block_entropy,
     entropy_profile,
     gaussian_smooth,
     half_chain_entropy,
+    half_chain_entropy_from_orbitals,
     mutual_information,
     standard_probe_regions,
     steady_state_entropy,
@@ -39,6 +41,7 @@ from .propagation import (
     make_propagator,
     run_trajectory,
     step_qr,
+    trajectory_invariants,
     validate_correlation,
 )
 from .scaling import (

@@ -111,34 +111,18 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .entanglement import subsystem_entropy
-    from .propagation import validate_correlation
+    from .propagation import PURITY_TOL, trajectory_invariants
 
     path = Path(args.input)
     if not path.exists():
         print(f"no such file: {path}", file=sys.stderr)
         return EXIT_IO
     with np.load(path) as data:
-        length = int(data["length"])
-        C = data["final_correlation"]
-        dens = data["density_series"]
-        ee = data["ee_series"]
-    n = length // 2
-    checks = validate_correlation(C, n, atol=args.atol)
-    density_sum = float(np.max(np.abs(dens.sum(axis=1) - n)))
-    checks["density_sum"] = density_sum
-    purity = 0.0
-    for ell in range(1, length):
-        left = subsystem_entropy(C, range(1, ell + 1))
-        right = subsystem_entropy(C, range(ell + 1, length + 1))
-        purity = max(purity, abs(left - right))
-    checks["purity_symmetry"] = purity
-    checks["ee_nonnegative"] = float(max(0.0, -ee.min()))
+        checks = trajectory_invariants(data["final_correlation"], data["density_series"],
+                                       data["ee_series"], int(data["length"]))
     ok = True
     for name, value in checks.items():
-        if name == "ok":
-            continue
-        passed = value <= (1e-6 if name == "purity_symmetry" else args.atol)
+        passed = value <= (PURITY_TOL if name == "purity_symmetry" else args.atol)
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'}  {name:18s} {value:.3e}")
     return EXIT_OK if ok else EXIT_PARTIAL

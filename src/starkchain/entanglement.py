@@ -37,24 +37,47 @@ def binary_entropy(occupations: np.ndarray) -> float:
     return float(-np.sum(lam * np.log(lam) + (1.0 - lam) * np.log(1.0 - lam)))
 
 
-def subsystem_entropy(C: np.ndarray, sites: Sequence[int]) -> float:
-    """Von Neumann entropy (nats) of the sites listed in `sites` (1-based).
+def block_entropy(block: np.ndarray) -> float:
+    """Von Neumann entropy (nats) of a principal block C^A of a correlation matrix.
 
-    Eigenvalues of the corresponding principal submatrix of C are clamped to
-    [eps, 1-eps] with eps = 1e-12 before the logarithms, which absorbs modes
-    numerically at the boundary of [0, 1].
+    The block is Hermitized and its eigenvalues are clamped to [eps, 1-eps]
+    with eps = 1e-12 before the logarithms, which absorbs modes numerically at
+    the boundary of [0, 1].
     """
+    lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+    return binary_entropy(lam)
+
+
+def subsystem_entropy(C: np.ndarray, sites: Sequence[int]) -> float:
+    """Von Neumann entropy (nats) of the sites listed in `sites` (1-based)."""
     C = np.asarray(C)
     idx = validate_sites(sites, C.shape[0])
-    sub = C[np.ix_(idx, idx)]
-    lam = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-    return binary_entropy(lam)
+    return block_entropy(C[np.ix_(idx, idx)])
+
+
+def _half(length: int) -> int:
+    if length < 2:
+        raise ValueError("subsystem must be nonempty")
+    return length // 2
 
 
 def half_chain_entropy(C: np.ndarray) -> float:
     """Entropy of the contiguous left half, sites 1..L/2."""
-    L = np.asarray(C).shape[0]
-    return subsystem_entropy(C, range(1, L // 2 + 1))
+    C = np.asarray(C)
+    h = _half(C.shape[0])
+    return block_entropy(C[:h, :h])
+
+
+def half_chain_entropy_from_orbitals(Q: np.ndarray) -> float:
+    """Half-chain entropy of the Slater state with orthonormal orbital columns Q.
+
+    Only the left L/2 rows Q_a enter: the half-chain block of C = (Q Q^dag)^T
+    is (Q_a Q_a^dag)^T, so the L x L matrix C is never formed.  The result
+    equals half_chain_entropy(C) bit for bit.
+    """
+    Q = np.asarray(Q)
+    Qa = Q[: _half(Q.shape[0])]
+    return block_entropy((Qa @ Qa.conj().T).T)
 
 
 def mutual_information(C: np.ndarray, a_sites: Sequence[int], b_sites: Sequence[int]) -> float:
@@ -92,7 +115,7 @@ def entropy_profile(C: np.ndarray) -> np.ndarray:
     out = np.empty((L - 1, 2))
     for ell in range(1, L):
         out[ell - 1, 0] = ell
-        out[ell - 1, 1] = subsystem_entropy(C, range(1, ell + 1))
+        out[ell - 1, 1] = block_entropy(C[:ell, :ell])
     return out
 
 

@@ -6,7 +6,9 @@ scaling-and-squaring, and re-orthonormalizes the columns by a QR
 factorization, which both normalizes the many-body state and keeps the
 numerics stable against the exponential amplitude growth of nonreciprocal
 evolution.  The two-point correlation matrix of the state is
-C = (Q Q^dag)^T, a Hermitian projector of rank N.
+C = (Q Q^dag)^T, a Hermitian projector of rank N.  The per-step half-chain
+entropy needs only the left L/2 rows of Q, so C itself is formed only where
+a whole matrix is wanted: at density samples and for the final state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .entanglement import gaussian_smooth, half_chain_entropy
+from .entanglement import block_entropy, gaussian_smooth, half_chain_entropy_from_orbitals
 from .model import ModelParams, as_matrix, build_hamiltonian
 
 RANK_TOL = 1e-300
@@ -134,6 +136,31 @@ def validate_correlation(C: np.ndarray, n_particles: int, atol: float = 1e-8) ->
     return residuals
 
 
+PURITY_TOL = 1e-6
+
+
+def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
+                          ee_series: np.ndarray, length: int) -> dict:
+    """Residuals of a saved trajectory's invariants, by name, in report order.
+
+    The correlation-matrix residuals of validate_correlation, the largest
+    deviation of a sampled density from L/2 particles, the largest
+    |S(1..l) - S(l+1..L)| over the cuts l = 1..L-1 (equal for a pure state;
+    compare against PURITY_TOL), and how far the entropy series dips below 0.
+    """
+    n = length // 2
+    residuals = {k: v for k, v in validate_correlation(C, n).items() if k != "ok"}
+    residuals["density_sum"] = float(np.max(np.abs(density_series.sum(axis=1) - n)))
+    purity = 0.0
+    for ell in range(1, length):
+        left = block_entropy(C[:ell, :ell])
+        right = block_entropy(C[ell:, ell:])
+        purity = max(purity, abs(left - right))
+    residuals["purity_symmetry"] = purity
+    residuals["ee_nonnegative"] = float(max(0.0, -ee_series.min()))
+    return residuals
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Time-stepping plan: step size, budget, sampling and plateau stopping."""
@@ -147,8 +174,10 @@ class Schedule:
     smooth_sigma: float = 20.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1 or self.sample_stride < 1:
-            raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1")
+        if (self.dt <= 0 or self.steps < 1 or self.sample_stride < 1
+                or self.plateau_window < 1 or not self.smooth_sigma > 0):
+            raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1, "
+                             "plateau_window >= 1, smooth_sigma > 0")
 
 
 @dataclass
@@ -188,16 +217,18 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Evolve the alternating state under the chain Hamiltonian.
 
-    Records the half-chain entropy every step (including t=0) and the density
-    profile every sample_stride steps.  With early_stop enabled the run ends
-    once the smoothed entropy stays within plateau_tol over plateau_window
-    consecutive steps.  on_sample(step, state, C), if given, is called at every
-    density sample for additional observables.
+    Records the half-chain entropy every step (including t=0), from the
+    orbitals, and the density profile every sample_stride steps, from C.  With
+    early_stop enabled the run ends once the smoothed entropy stays within
+    plateau_tol over plateau_window consecutive steps.  on_sample(step, state,
+    C), if given, is called at every density sample for additional
+    observables.  C is formed once per density sample; the last sample is the
+    final state, whose C is final_correlation.
     """
     prop = make_propagator(build_hamiltonian(params), schedule.dt)
     state = init_z2_state(params.length)
     C = correlation_matrix(state)
-    ee = [half_chain_entropy(C)]
+    ee = [half_chain_entropy_from_orbitals(state.orbitals)]
     density_steps = [0]
     densities = [density_profile(C)]
     if on_sample is not None:
@@ -210,10 +241,10 @@ def run_trajectory(
             state = step_qr(state, prop)
         except RankDeficiencyError as err:
             raise TrajectoryError(f"step {n}: {err}") from err
-        C = correlation_matrix(state)
-        ee.append(half_chain_entropy(C))
+        ee.append(half_chain_entropy_from_orbitals(state.orbitals))
         n_done = n
         if n % schedule.sample_stride == 0:
+            C = correlation_matrix(state)
             density_steps.append(n)
             densities.append(density_profile(C))
             if on_sample is not None:
@@ -233,6 +264,7 @@ def run_trajectory(
                                   schedule.plateau_tol)
 
     if density_steps[-1] != n_done:
+        C = correlation_matrix(state)
         density_steps.append(n_done)
         densities.append(density_profile(C))
         if on_sample is not None:

@@ -33,6 +33,10 @@ class Smoothing:
     sigma: float = 20.0
     tail_fraction: float = 0.25
 
+    def __post_init__(self):
+        if not self.sigma > 0 or not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError("smoothing needs sigma > 0 and tail_fraction in (0, 1]")
+
 
 @dataclass(frozen=True)
 class Analyses:
@@ -276,12 +280,15 @@ def _sorted_grid(config: SweepConfig) -> list:
 
 
 def _run_grid(config: SweepConfig) -> list:
+    """Results in grid order.  A pool gets the points longest-first (descending L,
+    ties in grid order), so the largest point never starts last."""
     grid = _sorted_grid(config)
     if config.workers == 1 or len(grid) == 1:
         return [_run_point(config, *pt) for pt in grid]
+    order = sorted(range(len(grid)), key=lambda i: -grid[i][2])
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(_run_point, config, *pt) for pt in grid]
-        return [f.result() for f in futures]
+        futures = {i: pool.submit(_run_point, config, *grid[i]) for i in order}
+        return [futures[i].result() for i in range(len(grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +300,26 @@ def _output_dir(config: SweepConfig) -> Path:
     return outdir
 
 
+# Names of the files _emit_results may write besides sweep.csv, as glob patterns.
+COLLAPSE_OUTPUTS = ("collapse.json", "collapse_g*.csv")
+ANALYSIS_OUTPUTS = ("mutual_info.csv", "power_law.json", *COLLAPSE_OUTPUTS, "fractal.csv",
+                    "cft_fit.json", "profile_*.csv", "density_*.csv", "traj_*.npz")
+
+
+def _clear_outputs(outdir: Path, patterns: tuple):
+    """Delete the files in `outdir` that match any of `patterns`."""
+    for pattern in patterns:
+        for stale in outdir.glob(pattern):
+            stale.unlink()
+
+
 def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[list, dict]:
-    """Write sweep.csv and each enabled analysis; return the files and the collapse fits."""
+    """Write sweep.csv and each enabled analysis; return the files and the collapse fits.
+
+    Analysis files of an earlier run in `outdir` are removed first, so the
+    directory holds only this run's results; export tables (fig_*) stay.
+    """
+    _clear_outputs(outdir, ANALYSIS_OUTPUTS)
     path = outdir / "sweep.csv"
     write_csv(path, ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
     files = [path]
@@ -384,8 +409,7 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
     The order of `rows` sets the bootstrap resamples.  Earlier collapse files in
     `outdir` are removed first, so it holds exactly this call's fits.
     """
-    for stale in [outdir / "collapse.json", *outdir.glob("collapse_g*.csv")]:
-        stale.unlink(missing_ok=True)
+    _clear_outputs(outdir, COLLAPSE_OUTPUTS)
     files = []
     fits = {}
     for g in sorted(config.gamma_values):

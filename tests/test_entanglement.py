@@ -9,6 +9,8 @@ from starkchain import (
     correlation_matrix,
     entropy_profile,
     gaussian_smooth,
+    half_chain_entropy,
+    half_chain_entropy_from_orbitals,
     mutual_information,
     run_trajectory,
     standard_probe_regions,
@@ -190,3 +192,17 @@ def test_steady_state_entropy_tail_fraction():
     assert steady_state_entropy(series, sigma=5.0, tail_fraction=0.2) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError, match="tail_fraction"):
         steady_state_entropy(series, tail_fraction=0.0)
+
+
+def test_half_chain_entropy_from_orbitals_equals_full_correlation():
+    rng = np.random.default_rng(11)
+    for L, N in [(2, 1), (8, 4), (12, 3), (33, 16), (64, 32)]:
+        Q, _ = np.linalg.qr(rng.normal(size=(L, N)) + 1j * rng.normal(size=(L, N)))
+        C = (Q @ Q.conj().T).T
+        assert half_chain_entropy_from_orbitals(Q) == half_chain_entropy(C)
+        assert half_chain_entropy(C) == subsystem_entropy(C, range(1, L // 2 + 1))
+    for bad in (np.zeros((1, 1)), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="nonempty"):
+            half_chain_entropy(bad)
+        with pytest.raises(ValueError, match="nonempty"):
+            half_chain_entropy_from_orbitals(bad)

@@ -17,8 +17,10 @@ from starkchain import (
     step_qr,
     steady_state_entropy,
     subsystem_entropy,
+    trajectory_invariants,
     validate_correlation,
 )
+from starkchain import propagation
 from starkchain.entanglement import half_chain_entropy
 
 from oracles import exact_evolution_ee
@@ -227,3 +229,86 @@ def test_on_sample_callback_sees_every_stride():
         on_sample=lambda step, state, C: seen.append(step),
     )
     assert seen == [0, 25, 50, 75, 100]
+
+
+def full_correlation_replay(params, schedule) -> tuple[list, np.ndarray]:
+    """Per-step half-chain entropies from the whole C, and the final C."""
+    prop = make_propagator(build_hamiltonian(params), schedule.dt)
+    state = init_z2_state(params.length)
+    ee = [half_chain_entropy(correlation_matrix(state))]
+    for _ in range(schedule.steps):
+        state = step_qr(state, prop)
+        ee.append(half_chain_entropy(correlation_matrix(state)))
+    return ee, correlation_matrix(state)
+
+
+@pytest.mark.parametrize("gamma,delta,L,boundary", [
+    (-0.5, 0.1, 8, Boundary.OPEN),
+    (-0.5, 0.1, 32, Boundary.OPEN),
+    (-0.5, 0.1, 64, Boundary.OPEN),
+    (-0.5, 0.001, 8, Boundary.PERIODIC),
+    (-0.5, 0.001, 32, Boundary.PERIODIC),
+    (-0.5, 0.001, 64, Boundary.PERIODIC),
+    # ill-conditioned: wrong against high-precision oracles, but the orbital
+    # entropy must still reproduce the whole-C values bit for bit
+    (-0.5, 0.001, 96, Boundary.OPEN),
+])
+def test_trajectory_entropy_equals_full_correlation_replay(gamma, delta, L, boundary):
+    params = ModelParams(gamma, delta, L, boundary)
+    schedule = Schedule(dt=10.0, steps=150, sample_stride=40)
+    rec = run_trajectory(params, schedule)
+    ee, C = full_correlation_replay(params, schedule)
+    assert rec.ee_series.tolist() == ee
+    assert np.array_equal(rec.final_correlation, C)
+
+
+@pytest.mark.parametrize("steps,stride,early_stop", [
+    (130, 25, False), (125, 25, False), (4000, 70, True),
+])
+def test_correlation_matrix_formed_only_at_density_samples(monkeypatch, steps, stride,
+                                                           early_stop):
+    times = []
+    original = propagation.correlation_matrix
+
+    def counting(state):
+        times.append(state.time)
+        return original(state)
+
+    monkeypatch.setattr(propagation, "correlation_matrix", counting)
+    schedule = Schedule(dt=10.0, steps=steps, sample_stride=stride, early_stop=early_stop)
+    rec = run_trajectory(ModelParams(-0.5, 5.0 if early_stop else 0.1, 32), schedule)
+    if early_stop:
+        assert rec.converged and rec.steps < steps
+    n_samples = len(rec.density_steps)
+    assert n_samples <= len(times) <= n_samples + 1
+    assert times[-1] == rec.steps * 10.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("plateau_window", 0), ("plateau_window", -5),
+    ("smooth_sigma", 0.0), ("smooth_sigma", -1.0), ("smooth_sigma", float("nan")),
+])
+def test_schedule_rejects_invalid_plateau_settings(field, value):
+    with pytest.raises(ValueError, match="plateau_window >= 1, smooth_sigma > 0"):
+        Schedule(**{field: value})
+
+
+def test_trajectory_invariants_match_per_block_entropies():
+    rec = run_trajectory(ModelParams(-0.5, 0.15, 16), Schedule(dt=10.0, steps=120,
+                                                               sample_stride=30))
+    C = rec.final_correlation
+    res = trajectory_invariants(C, rec.density_series, rec.ee_series, 16)
+    assert list(res) == ["hermiticity", "idempotency", "trace", "spectrum_range",
+                         "density_sum", "purity_symmetry", "ee_nonnegative"]
+    assert max(res.values()) < 1e-8
+    purity = max(abs(subsystem_entropy(C, range(1, l + 1))
+                     - subsystem_entropy(C, range(l + 1, 17))) for l in range(1, 16))
+    assert res["purity_symmetry"] == purity
+    assert res["density_sum"] == float(np.max(np.abs(rec.density_series.sum(axis=1) - 8)))
+
+    # a mixed state (C scaled by 0.9) breaks idempotency, trace and purity symmetry
+    bad = trajectory_invariants(0.9 * C, rec.density_series, -rec.ee_series, 16)
+    assert bad["idempotency"] > 1e-3
+    assert bad["trace"] == pytest.approx(0.8, abs=1e-9)
+    assert bad["purity_symmetry"] > 1e-3
+    assert bad["ee_nonnegative"] == pytest.approx(rec.ee_series.max())

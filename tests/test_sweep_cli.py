@@ -400,3 +400,119 @@ def test_cli_collapse_refit_without_rows_removes_earlier_fit(tmp_path):
 def test_point_tag_stability():
     assert point_tag(-0.5, 0.15, 64) == "g-0.5_d0.15_L64"
     assert point_tag(0.0, 1e-05, 128) == "g0_d1e-05_L128"
+
+
+def test_sweep_worker_independence_on_mixed_sizes(tmp_path):
+    base = {
+        **FAST,
+        "delta_values": [0.1, 0.3],
+        "sizes": [8, 16, 24],
+        "analyses": {"mutual_info": True, "cft_fit": True},
+        "save_trajectories": True,
+    }
+    run_sweep(config_from_dict({**base, "output_dir": str(tmp_path / "w1")}))
+    run_sweep(config_from_dict({**base, "output_dir": str(tmp_path / "w2"), "workers": 2}))
+    a = read_bytes_map(tmp_path / "w1")
+    b = read_bytes_map(tmp_path / "w2")
+    assert a.keys() == b.keys()
+    for name in a:
+        if name != "manifest.json":
+            assert a[name] == b[name], f"worker count changed {name}"
+    ma = json.loads(a["manifest.json"])
+    mb = json.loads(b["manifest.json"])
+    assert ma["config"].pop("workers") == 1 and mb["config"].pop("workers") == 2
+    assert ma["config"].pop("output_dir") != mb["config"].pop("output_dir")
+    assert ma == mb
+
+
+def test_pool_gets_longest_points_first(tmp_path, monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, config, gamma, delta, length):
+            from concurrent.futures import Future
+
+            submitted.append((gamma, delta, length))
+            future = Future()
+            future.set_result(failed_point(gamma, delta, length))
+            return future
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+    cfg = config_from_dict({**FAST, "gamma_values": [0.0, -0.5], "delta_values": [0.3, 0.1],
+                            "sizes": [16, 8, 24], "workers": 2,
+                            "output_dir": str(tmp_path / "out")})
+    run_sweep(cfg)
+    grid = [(g, d, L) for g in (-0.5, 0.0) for d in (0.1, 0.3) for L in (8, 16, 24)]
+    assert submitted == sorted(grid, key=lambda pt: -pt[2])
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [(float(r.split(",")[0]), float(r.split(",")[1]), int(r.split(",")[2]))
+            for r in rows] == grid
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("schedule", "plateau_window", 0),
+    ("schedule", "smooth_sigma", 0.0),
+    ("smoothing", "sigma", 0.0),
+    ("smoothing", "tail_fraction", 0.0),
+])
+def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, section, field,
+                                                       value):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(sweep_mod, "run_trajectory", no_stepping)
+    raw = {**FAST, "output_dir": str(tmp_path / "out")}
+    raw[section] = {**raw.get(section, {}), field: value}
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "schedule": {**raw["schedule"],
+                                                        "early_stop": True}}))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_clears_earlier_analysis_outputs(tmp_path):
+    out = tmp_path / "out"
+    base = {
+        "gamma_values": [-0.5],
+        "delta_values": [0.1, 0.15, 0.2, 0.25, 0.3],
+        "sizes": [8, 16, 24],
+        "schedule": {"dt": 10.0, "steps": 120, "sample_stride": 20},
+        "collapse_options": {"window_min_delta": None, "bootstrap_n": 2, "seed": 3},
+        "output_dir": str(out),
+    }
+    point = ["--gamma", "-0.5", "--delta", "0.15", "--size", "16"]
+    exports = [
+        ["export", "--kind", "collapse", "--output", str(out), "--gamma", "-0.5"],
+        ["export", "--kind", "mutual_info", "--output", str(out), "--gamma", "-0.5"],
+        ["export", "--kind", "entropy_profile", "--output", str(out), *point],
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**base, "save_trajectories": True,
+                                    "analyses": {"collapse": True, "mutual_info": True}}))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    assert (out / "collapse_g-0.5.csv").exists()
+    assert [cli_main(call) for call in exports] == [0, 0, 0]
+    (out / "notes.txt").write_text("kept")
+
+    cfg_path.write_text(json.dumps(base))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    assert [cli_main(call) for call in exports] == [3, 3, 3]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
+    # export tables and files the sweep never writes stay
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fig_collapse_g-0.5.csv", "fig_mutual_info.csv",
+        f"fig_profile_{point_tag(-0.5, 0.15, 16)}.csv",
+        "manifest.json", "notes.txt", "sweep.csv",
+    ]
