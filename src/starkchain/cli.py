@@ -38,7 +38,7 @@ def _load(args):
     config = load_config(args.config, preset=args.preset)
     if args.output:
         config = replace(config, output_dir=args.output)
-    if args.workers:
+    if args.workers is not None:
         config = replace(config, workers=args.workers)
     if args.seed is not None:
         config = replace(

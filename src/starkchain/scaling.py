@@ -9,6 +9,7 @@ point against a linear interpolation built from the nearby points of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,14 +31,55 @@ class LogProfileFit(NamedTuple):
     rms_residual: float
 
 
+class _CollapseLayout(NamedTuple):
+    """The parameter-independent part of collapse_quality for one dataset."""
+
+    n_sizes: int
+    group: np.ndarray         # size index of each point
+    edges: np.ndarray         # size s holds sorted places edges[s]:edges[s + 1]
+    widths: tuple             # (k, ((size, others), ...), all those others, their slots)
+    wsum: float
+
+
+def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
+    unique_sizes = np.unique(data.sizes)
+    n_sizes = len(unique_sizes)
+    if n_sizes < 2:
+        raise CollapseError("collapse undefined for fewer than 2 sizes")
+    group = np.searchsorted(unique_sizes, data.sizes)
+    counts = np.bincount(group, minlength=n_sizes)
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    by_width = {}  # interpolation width -> [(size, others, flat slots)]
+    for s in range(n_sizes):
+        others = np.flatnonzero(group != s)
+        slots = others * (n_sizes - 1) + s - (group[others] < s)
+        by_width.setdefault(min(neighbors, int(counts[s])), []).append((s, others, slots))
+    widths = tuple(
+        (k, tuple((s, others) for s, others, _ in parts),
+         np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts]))
+        for k, parts in by_width.items()
+    )
+    return _CollapseLayout(n_sizes, group, edges, widths, np.cumsum(data.weights)[-1])
+
+
 @dataclass(frozen=True)
 class ScalingDataset:
-    """Half-chain entropy points (L, delta, s_half, weight) for collapse fits."""
+    """Half-chain entropy points (L, delta, s_half, weight) for collapse fits.
+
+    The four arrays are read-only copies of the ones passed in, so the
+    collapse layouts cached on the dataset cannot go stale.
+    """
 
     sizes: np.ndarray
     deltas: np.ndarray
     values: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sizes", "deltas", "values", "weights"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_points(cls, points: Sequence[tuple]) -> "ScalingDataset":
@@ -65,9 +107,17 @@ class ScalingDataset:
         return ScalingDataset(self.sizes[keep], self.deltas[keep],
                               self.values[keep], self.weights[keep])
 
+    @cached_property
+    def _float_sizes(self) -> np.ndarray:
+        return self.sizes.astype(float)
+
+    @cached_property
+    def _layouts(self) -> dict:
+        return {}
+
     def rescaled(self, delta_c: float, nu: float, zeta: float):
         """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu})."""
-        sizes = self.sizes.astype(float)
+        sizes = self._float_sizes
         x = sizes ** (1.0 / nu) * (self.deltas - delta_c)
         y = self.values * sizes ** (-zeta / nu)
         return x, y
@@ -148,51 +198,44 @@ def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: floa
     point estimates its y.  The residual is taken against the mean of the
     estimates (sizes in ascending order), and the squares are summed in point
     order.  Zero for a perfect collapse where sizes share x grid points.
+
+    What depends only on the dataset and `neighbors` (size groups, each size's
+    other points and their slots) is built once and cached on the dataset.
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
     x, y = data.rescaled(delta_c, nu, zeta)
-    unique_sizes = np.unique(data.sizes)
-    group = np.searchsorted(unique_sizes, data.sizes)
-    n_sizes = len(unique_sizes)
-    if n_sizes < 2:
-        raise CollapseError("collapse undefined for fewer than 2 sizes")
+    layout = data._layouts.get(neighbors)
+    if layout is None:
+        layout = data._layouts[neighbors] = _collapse_layout(data, neighbors)
+    edges = layout.edges
 
     # points sorted by (size, x); lexsort is stable, like a per-size stable argsort
-    order = np.lexsort((x, group))
+    order = np.lexsort((x, layout.group))
     x_sorted, y_sorted = x[order], y[order]
-    edges = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=n_sizes))))
-    lo, hi = x_sorted[edges[:-1]], x_sorted[edges[1:] - 1]
-    overlap = (lo[:, None] <= hi[None, :]) & (lo[None, :] <= hi[:, None])
-    if not np.triu(overlap, 1).any():
+    lo, hi = x_sorted[edges[:-1]].tolist(), x_sorted[edges[1:] - 1].tolist()
+    if not any(lo[a] <= hi[b] and lo[b] <= hi[a]
+               for a in range(layout.n_sizes) for b in range(a + 1, layout.n_sizes)):
         raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
 
     # one estimate per (point, other size), filled in ascending size order
-    estimates = np.empty((len(data), n_sizes - 1))
+    estimates = np.empty((len(data), layout.n_sizes - 1))
     flat = estimates.reshape(-1)
-    pending = {}  # interpolation width -> [(queries, xp rows, fp rows, flat slots)]
-    for s in range(n_sizes):
-        xs = x_sorted[edges[s]:edges[s + 1]]
-        ys = y_sorted[edges[s]:edges[s + 1]]
-        others = np.flatnonzero(group != s)
-        slots = others * (n_sizes - 1) + s - (group[others] < s)
-        if len(xs) == 1:
-            flat[slots] = ys[0]
-            continue
-        k = min(neighbors, len(xs))
-        q = x[others]
-        near = np.argpartition(np.abs(xs - q[:, None]), k - 1, axis=1)[:, :k]
-        near.sort(axis=1)
-        pending.setdefault(near.shape[1], []).append((q, xs[near], ys[near], slots))
-    for parts in pending.values():
-        q, xp, fp, slots = (np.concatenate(a) for a in zip(*parts))
-        flat[slots] = _interp_rows(q, xp, fp)
+    for k, parts, others, slots in layout.widths:
+        xp, fp = [], []
+        for s, others_s in parts:
+            xs = x_sorted[edges[s]:edges[s + 1]]
+            q = x[others_s]
+            near = np.argpartition(np.abs(xs - q[:, None]), k - 1, axis=1)[:, :k]
+            near.sort(axis=1)
+            xp.append(xs[near])
+            fp.append(y_sorted[edges[s]:edges[s + 1]][near])
+        flat[slots] = _interp_rows(x[others], np.concatenate(xp), np.concatenate(fp))
     r = y - np.mean(estimates, axis=1)
     # running sums keep the point-by-point summation order
-    wsum = np.cumsum(data.weights)[-1]
-    if wsum == 0:
+    if layout.wsum == 0:
         raise CollapseError("no point could be scored against another size")
-    return np.cumsum(data.weights * r * r)[-1] / wsum
+    return np.cumsum(data.weights * r * r)[-1] / layout.wsum
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,26 @@ class Analyses:
     density_movie: bool = False
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _is_seq(v, n: int) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == n
+
+
+def _is_float_key(key) -> bool:
+    try:
+        float(key)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class CollapseOptions:
     init: tuple = DEFAULT_INIT
@@ -55,6 +76,32 @@ class CollapseOptions:
     window_min_delta: object = 0.1   # scalar, or {gamma: value} mapping
     bootstrap_n: int = 100
     seed: int = 7
+
+    def __post_init__(self):
+        if not _is_int(self.bootstrap_n) or self.bootstrap_n < 0:
+            raise ValueError(f"collapse_options bootstrap_n must be an int >= 0, "
+                             f"got {self.bootstrap_n!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"collapse_options seed must be an int >= 0, got {self.seed!r}")
+        if not (_is_seq(self.bounds, 3) and all(
+                _is_seq(b, 2) and all(map(_is_number, b)) and b[0] < b[1] for b in self.bounds)):
+            raise ValueError(f"collapse_options bounds must be 3 (lo, hi) pairs with lo < hi, "
+                             f"got {self.bounds!r}")
+        if not (_is_seq(self.init, 3) and all(
+                _is_number(v) and np.isfinite(v) and lo <= v <= hi
+                for v, (lo, hi) in zip(self.init, self.bounds))):
+            raise ValueError(f"collapse_options init must be 3 finite numbers inside bounds "
+                             f"{self.bounds!r}, got {self.init!r}")
+        object.__setattr__(self, "init", tuple(self.init))
+        object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
+        w = self.window_min_delta
+        if isinstance(w, dict):
+            ok = all(_is_number(v) and _is_float_key(k) for k, v in w.items())
+        else:
+            ok = w is None or _is_number(w)
+        if not ok:
+            raise ValueError(f"collapse_options window_min_delta must be None, a number, "
+                             f"or a mapping from gamma to numbers, got {w!r}")
 
     def min_delta_for(self, gamma: float) -> float | None:
         w = self.window_min_delta
@@ -118,16 +165,17 @@ def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
         data = _merge(data, PRESETS[preset])
     data = _merge(data, raw)
 
-    def sub(cls, key, **extra):
-        kwargs = dict(data.get(key, {}))
-        kwargs.update(extra)
-        return cls(**kwargs)
+    def sub(cls, key):
+        section = data.get(key, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {key!r} must be an object, got {section!r}")
+        known = {f.name for f in fields(cls)}
+        for name in section:
+            if name not in known:
+                raise ValueError(f"unknown key {name!r} in config section {key!r}; "
+                                 f"choose from {sorted(known)}")
+        return cls(**section)
 
-    copts = dict(data.get("collapse_options", {}))
-    if "init" in copts:
-        copts["init"] = tuple(copts["init"])
-    if "bounds" in copts:
-        copts["bounds"] = tuple(tuple(b) for b in copts["bounds"])
     return SweepConfig(
         gamma_values=tuple(float(g) for g in data["gamma_values"]),
         delta_values=tuple(float(d) for d in data["delta_values"]),
@@ -136,7 +184,7 @@ def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
         schedule=sub(Schedule, "schedule"),
         smoothing=sub(Smoothing, "smoothing"),
         analyses=sub(Analyses, "analyses"),
-        collapse_options=CollapseOptions(**copts),
+        collapse_options=sub(CollapseOptions, "collapse_options"),
         output_dir=str(data.get("output_dir", "out")),
         workers=int(data.get("workers", 1)),
         record_timings=bool(data.get("record_timings", False)),

@@ -207,6 +207,38 @@ def test_fit_collapse_identical_with_loop_kernel(monkeypatch):
     assert fit_with(loop_collapse_quality) == fit_with(collapse_quality)
 
 
+def test_fit_collapse_builds_each_layout_once(monkeypatch):
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(0))
+    built = []
+    build = scaling._collapse_layout
+
+    def counted(dataset, neighbors):
+        built.append(dataset)
+        return build(dataset, neighbors)
+
+    monkeypatch.setattr(scaling, "_collapse_layout", counted)
+    fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=2, seed=0)
+    # one for the data, one per bootstrap resample, over thousands of evaluations
+    assert len(built) == 3
+    assert built[0] is data and len({id(d) for d in built}) == 3
+
+
+def test_dataset_arrays_are_read_only_copies():
+    base = synthetic_collapse(0.15, 1.9, 2.0, noise=0.05, rng=np.random.default_rng(4))
+    arrays = [a.copy() for a in (base.sizes, base.deltas, base.values, base.weights)]
+    data = ScalingDataset(*arrays)
+    for a in (data.sizes, data.deltas, data.values, data.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    q = collapse_quality(data, 0.1, 1.5, 1.5)
+    for a in arrays:
+        a[:] = a[0]  # a single size, delta and value if the dataset shared them
+    assert collapse_quality(data, 0.1, 1.5, 1.5) == q
+    for a, b in zip((data.sizes, data.deltas, data.values, data.weights),
+                    (base.sizes, base.deltas, base.values, base.weights)):
+        assert np.array_equal(a, b)
+
+
 def test_fit_collapse_recovers_planted_parameters():
     rng = np.random.default_rng(8)
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=rng)

@@ -463,6 +463,21 @@ def test_pool_gets_longest_points_first(tmp_path, monkeypatch):
     ("schedule", "smooth_sigma", 0.0),
     ("smoothing", "sigma", 0.0),
     ("smoothing", "tail_fraction", 0.0),
+    ("collapse_options", "bootstrap_n", 2.5),
+    ("collapse_options", "bootstrap_n", -1),
+    ("collapse_options", "seed", "7"),
+    ("collapse_options", "init", [0.15, 1.9]),
+    ("collapse_options", "init", [0.15, 10.0, 2.0]),
+    ("collapse_options", "init", [0.15, float("nan"), 2.0]),
+    ("collapse_options", "bounds", [[0.005, 1.0], [4.0, 0.5], [0.5, 4.0]]),
+    ("collapse_options", "bounds", [[0.005, 1.0], [0.5, 4.0]]),
+    ("collapse_options", "window_min_delta", "x"),
+    ("collapse_options", "window_min_delta", {"-0.5": "x"}),
+    ("collapse_options", "window_min_delta", {"gamma": 0.1}),
+    ("collapse_options", "neighbors", 5),
+    ("schedule", "stepz", 100),
+    ("smoothing", "sigmaa", 1.0),
+    ("analyses", "colapse", True),
 ])
 def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, section, field,
                                                        value):
@@ -478,6 +493,19 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     cfg_path.write_text(json.dumps({**raw, "schedule": {**raw["schedule"],
                                                         "early_stop": True}}))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_section_must_be_an_object():
+    with pytest.raises(ValueError, match="'schedule' must be an object"):
+        config_from_dict({**FAST, "schedule": 5})
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_nonpositive_workers(tmp_path, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FAST, "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--workers", workers]) == 2
     assert not (tmp_path / "out").exists()
 
 
