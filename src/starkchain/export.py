@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import entropy_profile
-from .sweep import point_tag, read_csv, write_csv
+from .sweep import point_tag, read_csv, write_csv, write_density_csv, write_profile_csv
 
 EXPORT_KINDS = (
     "s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
@@ -118,21 +118,18 @@ def export_figure_data(
     if kind in ("entropy_profile", "density_heatmap"):
         if gamma is None or delta is None or size is None:
             raise ValueError(f"{kind} export needs gamma, delta and size")
-        src = outdir / f"traj_{point_tag(gamma, delta, size)}.npz"
+        tag = point_tag(gamma, delta, size)
+        src = outdir / f"traj_{tag}.npz"
         _require([src])
         with np.load(src) as data:
             if kind == "entropy_profile":
-                prof = entropy_profile(data["final_correlation"])
-                path = Path(out_path) if out_path else outdir / f"fig_profile_{point_tag(gamma, delta, size)}.csv"
-                write_csv(path, ["l", "s_l", "L"],
-                          [[int(l), s, size] for l, s in prof])
+                path = Path(out_path) if out_path else outdir / f"fig_profile_{tag}.csv"
+                write_profile_csv(path, entropy_profile(data["final_correlation"]), size)
                 return path
             steps = data["density_steps"]
             dens = data["density_series"]
-        path = Path(out_path) if out_path else outdir / f"fig_density_{point_tag(gamma, delta, size)}.csv"
-        rows = [[int(steps[i]), j + 1, dens[i, j]]
-                for i in range(len(steps)) for j in range(dens.shape[1])]
-        write_csv(path, ["step", "site", "n"], rows)
+        path = Path(out_path) if out_path else outdir / f"fig_density_{tag}.csv"
+        write_density_csv(path, steps, dens)
         svg_heatmap(dens, path.with_suffix(".svg"))
         return path
 

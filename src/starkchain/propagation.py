@@ -161,6 +161,14 @@ def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
     return residuals
 
 
+# The plateau test behind TrajectoryRecord.converged and Schedule.early_stop: the
+# entropy, smoothed with a Gaussian of width PLATEAU_SIGMA steps, moves less than
+# PLATEAU_TOL over the last PLATEAU_WINDOW steps.
+PLATEAU_TOL = 1e-4
+PLATEAU_WINDOW = 100
+PLATEAU_SIGMA = 20.0
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Time-stepping plan: step size, budget, sampling and plateau stopping."""
@@ -169,15 +177,10 @@ class Schedule:
     steps: int = 10000
     sample_stride: int = 50
     early_stop: bool = False
-    plateau_tol: float = 1e-4
-    plateau_window: int = 100
-    smooth_sigma: float = 20.0
 
     def __post_init__(self):
-        if (self.dt <= 0 or self.steps < 1 or self.sample_stride < 1
-                or self.plateau_window < 1 or not self.smooth_sigma > 0):
-            raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1, "
-                             "plateau_window >= 1, smooth_sigma > 0")
+        if self.dt <= 0 or self.steps < 1 or self.sample_stride < 1:
+            raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1")
 
 
 @dataclass
@@ -194,20 +197,19 @@ class TrajectoryRecord:
     converged: bool = False
 
 
-def _tail_plateau(ee: list, window: int, sigma: float, tol: float) -> bool:
-    """True when the smoothed series varies less than tol over the last window.
+def _tail_plateau(ee: list) -> bool:
+    """True when the smoothed series varies less than PLATEAU_TOL over the last window.
 
     Only points whose kernel support lies fully inside the series are used, so
     the window ends one kernel half-width before the running end; one-sided
     smoothing at the live edge would leak the raw oscillation back in.
     """
-    pad = int(np.ceil(4.0 * sigma))
-    need = window + 2 * pad
+    pad = int(np.ceil(4.0 * PLATEAU_SIGMA))
+    need = PLATEAU_WINDOW + 2 * pad
     if len(ee) < need:
         return False
-    smooth = gaussian_smooth(np.asarray(ee[-need:]), sigma)
-    core = smooth[pad:-pad] if pad else smooth
-    return float(core.max() - core.min()) < tol
+    core = gaussian_smooth(np.asarray(ee[-need:]), PLATEAU_SIGMA)[pad:-pad]
+    return float(core.max() - core.min()) < PLATEAU_TOL
 
 
 def run_trajectory(
@@ -219,64 +221,47 @@ def run_trajectory(
 
     Records the half-chain entropy every step (including t=0), from the
     orbitals, and the density profile every sample_stride steps, from C.  With
-    early_stop enabled the run ends once the smoothed entropy stays within
-    plateau_tol over plateau_window consecutive steps.  on_sample(step, state,
-    C), if given, is called at every density sample for additional
-    observables.  C is formed once per density sample; the last sample is the
-    final state, whose C is final_correlation.
+    early_stop enabled the run ends at the first multiple of PLATEAU_WINDOW
+    steps where the plateau test holds; converged is that test on the whole
+    series, whether or not the run stopped early.  on_sample(step, state, C),
+    if given, is called at every density sample for additional observables.
+    C is formed once per density sample; the last sample is the final state,
+    whose C is final_correlation.
     """
     prop = make_propagator(build_hamiltonian(params), schedule.dt)
     state = init_z2_state(params.length)
-    C = correlation_matrix(state)
     ee = [half_chain_entropy_from_orbitals(state.orbitals)]
-    density_steps = [0]
-    densities = [density_profile(C)]
-    if on_sample is not None:
-        on_sample(0, state, C)
+    density_steps, densities = [], []
 
-    converged = False
-    n_done = 0
+    def sample(n: int) -> np.ndarray:
+        C = correlation_matrix(state)
+        density_steps.append(n)
+        densities.append(density_profile(C))
+        if on_sample is not None:
+            on_sample(n, state, C)
+        return C
+
+    C = sample(0)
     for n in range(1, schedule.steps + 1):
         try:
             state = step_qr(state, prop)
         except RankDeficiencyError as err:
             raise TrajectoryError(f"step {n}: {err}") from err
         ee.append(half_chain_entropy_from_orbitals(state.orbitals))
-        n_done = n
         if n % schedule.sample_stride == 0:
-            C = correlation_matrix(state)
-            density_steps.append(n)
-            densities.append(density_profile(C))
-            if on_sample is not None:
-                on_sample(n, state, C)
-        if (
-            schedule.early_stop
-            and n % schedule.plateau_window == 0
-            and n >= 2 * schedule.plateau_window
-        ):
-            if _tail_plateau(ee, schedule.plateau_window, schedule.smooth_sigma,
-                             schedule.plateau_tol):
-                converged = True
-                break
-
-    if not converged and n_done >= 2 * schedule.plateau_window:
-        converged = _tail_plateau(ee, schedule.plateau_window, schedule.smooth_sigma,
-                                  schedule.plateau_tol)
-
-    if density_steps[-1] != n_done:
-        C = correlation_matrix(state)
-        density_steps.append(n_done)
-        densities.append(density_profile(C))
-        if on_sample is not None:
-            on_sample(n_done, state, C)
+            C = sample(n)
+        if schedule.early_stop and n % PLATEAU_WINDOW == 0 and _tail_plateau(ee):
+            break
+    if density_steps[-1] != n:
+        C = sample(n)
 
     return TrajectoryRecord(
         params=params,
         dt=schedule.dt,
-        steps=n_done,
+        steps=n,
         ee_series=np.asarray(ee),
         density_steps=np.asarray(density_steps, dtype=int),
         density_series=np.asarray(densities),
         final_correlation=C,
-        converged=converged,
+        converged=_tail_plateau(ee),
     )

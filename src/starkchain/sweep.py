@@ -136,8 +136,11 @@ class SweepConfig:
             raise ValueError("gamma_values, delta_values and sizes must be nonempty")
         if any(L % 2 != 0 for L in self.sizes):
             raise ValueError("all sizes must be even")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
+        for name in ("record_timings", "save_trajectories"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 PRESETS = {
@@ -156,6 +159,13 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _reject_unknown_keys(section: dict, cls, where: str):
+    known = {f.name for f in fields(cls)}
+    for name in section:
+        if name not in known:
+            raise ValueError(f"unknown key {name!r} in {where}; choose from {sorted(known)}")
+
+
 def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
     """Build a SweepConfig from a JSON-style dict, optionally under a preset."""
     data: dict = {}
@@ -164,16 +174,13 @@ def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         data = _merge(data, PRESETS[preset])
     data = _merge(data, raw)
+    _reject_unknown_keys(data, SweepConfig, "config")
 
     def sub(cls, key):
         section = data.get(key, {})
         if not isinstance(section, dict):
             raise ValueError(f"config section {key!r} must be an object, got {section!r}")
-        known = {f.name for f in fields(cls)}
-        for name in section:
-            if name not in known:
-                raise ValueError(f"unknown key {name!r} in config section {key!r}; "
-                                 f"choose from {sorted(known)}")
+        _reject_unknown_keys(section, cls, f"config section {key!r}")
         return cls(**section)
 
     return SweepConfig(
@@ -186,9 +193,9 @@ def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
         analyses=sub(Analyses, "analyses"),
         collapse_options=sub(CollapseOptions, "collapse_options"),
         output_dir=str(data.get("output_dir", "out")),
-        workers=int(data.get("workers", 1)),
-        record_timings=bool(data.get("record_timings", False)),
-        save_trajectories=bool(data.get("save_trajectories", False)),
+        workers=data.get("workers", 1),
+        record_timings=data.get("record_timings", False),
+        save_trajectories=data.get("save_trajectories", False),
     )
 
 
@@ -245,6 +252,18 @@ def sha256_file(path: Path) -> str:
 
 def point_tag(gamma: float, delta: float, length: int) -> str:
     return f"g{gamma:g}_d{delta:g}_L{length}"
+
+
+def write_profile_csv(path: Path, prof: np.ndarray, length: int):
+    """Write an entropy_profile table: one row (l, S(1..l), L) per cut."""
+    write_csv(path, ["l", "s_l", "L"], [[int(l), s, length] for l, s in prof])
+
+
+def write_density_csv(path: Path, steps: np.ndarray, dens: np.ndarray):
+    """Write sampled densities long-form: one row (step, site, n) per sample and site."""
+    write_csv(path, ["step", "site", "n"],
+              [[int(steps[i]), site + 1, dens[i, site]]
+               for i in range(len(steps)) for site in range(dens.shape[1])])
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +435,7 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[lis
             prof = entropy_profile(r["detail"]["final_correlation"])
             tag = point_tag(r["gamma"], r["delta"], r["L"])
             path = outdir / f"profile_{tag}.csv"
-            write_csv(path, ["l", "s_l", "L"],
-                      [[int(l), s, r["L"]] for l, s in prof])
+            write_profile_csv(path, prof, r["L"])
             files.append(path)
             try:
                 fit = cft_log_fit(prof, r["L"])
@@ -434,13 +452,7 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[lis
         for r in detailed:
             tag = point_tag(r["gamma"], r["delta"], r["L"])
             path = outdir / f"density_{tag}.csv"
-            steps = r["detail"]["density_steps"]
-            dens = r["detail"]["density_series"]
-            rows = [
-                [int(steps[i]), site + 1, dens[i, site]]
-                for i in range(len(steps)) for site in range(dens.shape[1])
-            ]
-            write_csv(path, ["step", "site", "n"], rows)
+            write_density_csv(path, r["detail"]["density_steps"], r["detail"]["density_series"])
             files.append(path)
 
     for r in detailed:

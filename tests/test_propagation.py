@@ -285,12 +285,35 @@ def test_correlation_matrix_formed_only_at_density_samples(monkeypatch, steps, s
 
 
 @pytest.mark.parametrize("field,value", [
-    ("plateau_window", 0), ("plateau_window", -5),
-    ("smooth_sigma", 0.0), ("smooth_sigma", -1.0), ("smooth_sigma", float("nan")),
+    ("dt", 0.0), ("dt", -10.0), ("steps", 0), ("steps", -1), ("sample_stride", 0),
 ])
-def test_schedule_rejects_invalid_plateau_settings(field, value):
-    with pytest.raises(ValueError, match="plateau_window >= 1, smooth_sigma > 0"):
+def test_schedule_rejects_invalid_settings(field, value):
+    with pytest.raises(ValueError, match="dt > 0, steps >= 1, sample_stride >= 1"):
         Schedule(**{field: value})
+
+
+@pytest.mark.parametrize("gamma,delta,L,boundary,steps,stops", [
+    (-0.5, 5.0, 32, Boundary.OPEN, 4000, True),
+    (-0.5, 0.001, 16, Boundary.PERIODIC, 4000, True),
+    # flat at step 350, not at 400 or 500, flat again at 600: the run stops at 600
+    (-0.5, 1.0, 24, Boundary.OPEN, 4000, True),
+    # flat at steps 450 and 950 only, between checks: the run uses its whole budget
+    (-0.5, 1.75, 16, Boundary.OPEN, 1050, False),
+])
+def test_early_stop_at_first_plateau_window(gamma, delta, L, boundary, steps, stops):
+    window = propagation.PLATEAU_WINDOW
+    params = ModelParams(gamma, delta, L, boundary)
+    rec = run_trajectory(params, Schedule(dt=10.0, steps=steps, early_stop=True))
+    assert (rec.steps < steps) == stops
+    # the full run ends between checks, where converged reads the whole series
+    full = run_trajectory(params, Schedule(dt=10.0, steps=rec.steps + 2 * window + 50))
+    ee = full.ee_series.tolist()
+    first = next((n for n in range(window, len(ee), window)
+                  if propagation._tail_plateau(ee[:n + 1])), None)
+    assert rec.steps == (first if first is not None and first <= steps else steps)
+    assert rec.ee_series.tolist() == ee[:rec.steps + 1]
+    for r in (rec, full):
+        assert r.converged == propagation._tail_plateau(r.ee_series.tolist())
 
 
 def test_trajectory_invariants_match_per_block_entropies():

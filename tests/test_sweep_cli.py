@@ -7,6 +7,7 @@ import pytest
 from starkchain import SweepConfig, config_from_dict, run_phase_diagram, run_spectral, run_sweep
 from starkchain.cli import main as cli_main
 from starkchain.export import export_figure_data
+from starkchain.scaling import power_law_fit
 from starkchain import sweep as sweep_mod
 from starkchain.sweep import ROW_COLUMNS, Analyses, Schedule, point_tag, write_csv
 
@@ -496,6 +497,30 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("worker", 4, "unknown key 'worker' in config"),
+    ("output", "x", "unknown key 'output' in config"),
+    ("record_timings", "false", "record_timings must be true or false"),
+    ("save_trajectories", 1, "save_trajectories must be true or false"),
+    ("workers", "2", "workers must be an int"),
+    ("workers", 2.0, "workers must be an int"),
+    ("workers", True, "workers must be an int"),
+])
+def test_cli_rejects_invalid_top_level_before_stepping(tmp_path, monkeypatch, key, value,
+                                                       message):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(sweep_mod, "run_trajectory", no_stepping)
+    raw = {**FAST, "output_dir": str(tmp_path / "out"), key: value}
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_section_must_be_an_object():
     with pytest.raises(ValueError, match="'schedule' must be an object"):
         config_from_dict({**FAST, "schedule": 5})
@@ -544,3 +569,66 @@ def test_simulate_clears_earlier_analysis_outputs(tmp_path):
         f"fig_profile_{point_tag(-0.5, 0.15, 16)}.csv",
         "manifest.json", "notes.txt", "sweep.csv",
     ]
+
+
+def test_sweep_and_export_tables_are_byte_equal(tmp_path):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FAST, "sizes": [8, 16], "output_dir": str(out),
+                                    "analyses": {"cft_fit": True, "density_movie": True}}))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    for L in (8, 16):
+        tag = point_tag(-0.5, 0.15, L)
+        point = ["--output", str(out), "--gamma", "-0.5", "--delta", "0.15", "--size", str(L)]
+        assert cli_main(["export", "--kind", "entropy_profile", *point]) == 0
+        assert cli_main(["export", "--kind", "density_heatmap", *point]) == 0
+        for name in ("profile", "density"):
+            ours = (out / f"{name}_{tag}.csv").read_bytes()
+            assert ours == (out / f"fig_{name}_{tag}.csv").read_bytes(), (name, L)
+
+
+def test_power_law_fits_each_point_with_three_positive_sizes(tmp_path, monkeypatch):
+    base = {**FAST, "delta_values": [0.1, 0.3], "sizes": [8, 12, 16],
+            "analyses": {"power_law": True}}
+
+    def fits_and_rows(name):
+        out = tmp_path / name
+        run_sweep(config_from_dict({**base, "output_dir": str(out)}))
+        rows = sweep_mod.read_csv(out / "sweep.csv")
+        return json.loads((out / "power_law.json").read_text()), rows
+
+    def expected(rows, delta):
+        pts = sorted((int(r["L"]), float(r["s_half_steady"])) for r in rows
+                     if float(r["delta"]) == delta and float(r["s_half_steady"]) > 0)
+        fit = power_law_fit([p[0] for p in pts], [p[1] for p in pts])
+        return {"beta": fit.beta, "stderr": fit.stderr, "n_sizes": len(pts)}
+
+    fits, rows = fits_and_rows("all")
+    assert fits == {f"gamma=-0.5,delta={d:g}": expected(rows, d) for d in (0.1, 0.3)}
+
+    # with S = 0 at (delta 0.3, L 16), delta 0.3 keeps two positive sizes and drops out
+    run_point = sweep_mod._run_point
+
+    def zero_at_l16(config, gamma, delta, length):
+        result = run_point(config, gamma, delta, length)
+        if delta == 0.3 and length == 16:
+            result["s_half_steady"] = 0.0
+        return result
+
+    monkeypatch.setattr(sweep_mod, "_run_point", zero_at_l16)
+    fits_cut, rows_cut = fits_and_rows("cut")
+    assert fits_cut == {"gamma=-0.5,delta=0.1": expected(rows_cut, 0.1)}
+    assert fits_cut["gamma=-0.5,delta=0.1"] == fits["gamma=-0.5,delta=0.1"]
+
+
+@pytest.mark.parametrize("record_timings", [True, False])
+def test_record_timings_sets_wall_time_column(tmp_path, record_timings):
+    out = tmp_path / "out"
+    run_sweep(config_from_dict({**FAST, "sizes": [8, 16], "output_dir": str(out),
+                                "record_timings": record_timings}))
+    cells = [r["wall_time_s"] for r in sweep_mod.read_csv(out / "sweep.csv")]
+    assert len(cells) == 2
+    if record_timings:
+        assert all(float(c) > 0 for c in cells)
+    else:
+        assert cells == ["0.00000000000000000e+00"] * 2
