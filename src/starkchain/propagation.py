@@ -14,6 +14,7 @@ a whole matrix is wanted: at density samples and for the final state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -169,6 +170,14 @@ PLATEAU_WINDOW = 100
 PLATEAU_SIGMA = 20.0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Time-stepping plan: step size, budget, sampling and plateau stopping."""
@@ -179,7 +188,14 @@ class Schedule:
     early_stop: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1 or self.sample_stride < 1:
+        if not _is_number(self.dt):
+            raise ValueError(f"schedule dt must be a number, got {self.dt!r}")
+        for name in ("steps", "sample_stride"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"schedule {name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.early_stop, bool):
+            raise ValueError(f"schedule early_stop must be true or false, got {self.early_stop!r}")
+        if not self.dt > 0 or self.steps < 1 or self.sample_stride < 1:
             raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1")
 
 

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class CollapseError(ValueError):
@@ -37,11 +36,18 @@ class _CollapseLayout(NamedTuple):
     n_sizes: int
     group: np.ndarray         # size index of each point
     edges: np.ndarray         # size s holds sorted places edges[s]:edges[s + 1]
-    widths: tuple             # (k, ((size, others), ...), all those others, their slots)
+    widths: tuple             # (k, ((places, rows), ...), queries, their slots)
     wsum: float
 
 
 def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
+    """Group each (point, other size) estimate by interpolation width k, and
+    within a width by the other size's point count.
+
+    One block per count: row r of its `places` matrix lists the sorted places
+    of the size that query r is scored against, so one selection covers every
+    size of that count.  `rows` is the block's slice of the width's queries.
+    """
     unique_sizes = np.unique(data.sizes)
     n_sizes = len(unique_sizes)
     if n_sizes < 2:
@@ -49,17 +55,25 @@ def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
     group = np.searchsorted(unique_sizes, data.sizes)
     counts = np.bincount(group, minlength=n_sizes)
     edges = np.concatenate(([0], np.cumsum(counts)))
-    by_width = {}  # interpolation width -> [(size, others, flat slots)]
+    by_width = {}  # k -> {point count -> [(others, places, slots) per size]}
     for s in range(n_sizes):
+        count = int(counts[s])
         others = np.flatnonzero(group != s)
         slots = others * (n_sizes - 1) + s - (group[others] < s)
-        by_width.setdefault(min(neighbors, int(counts[s])), []).append((s, others, slots))
-    widths = tuple(
-        (k, tuple((s, others) for s, others, _ in parts),
-         np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts]))
-        for k, parts in by_width.items()
-    )
-    return _CollapseLayout(n_sizes, group, edges, widths, np.cumsum(data.weights)[-1])
+        places = np.tile(np.arange(edges[s], edges[s + 1]), (len(others), 1))
+        by_width.setdefault(min(neighbors, count), {}).setdefault(count, []).append(
+            (others, places, slots))
+    widths = []
+    for k, by_count in by_width.items():
+        blocks, start = [], 0
+        for parts in by_count.values():
+            places = np.concatenate([p[1] for p in parts])
+            blocks.append((places, slice(start, start + len(places))))
+            start += len(places)
+        parts = [p for same_count in by_count.values() for p in same_count]
+        widths.append((k, tuple(blocks), np.concatenate([p[0] for p in parts]),
+                       np.concatenate([p[2] for p in parts])))
+    return _CollapseLayout(n_sizes, group, edges, tuple(widths), np.cumsum(data.weights)[-1])
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,7 @@ def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     if k == 1:
         return fp[:, 0].copy()
     rows = np.arange(n_rows)
-    j = np.count_nonzero(xp <= q[:, None], axis=1) - 1  # last j with xp[j] <= q
+    j = np.add.reduce(xp <= q[:, None], axis=1) - 1  # last j with xp[j] <= q
     jc = np.minimum(np.maximum(j, 0), k - 2)
     x0, x1 = xp[rows, jc], xp[rows, jc + 1]
     f0, f1 = fp[rows, jc], fp[rows, jc + 1]
@@ -199,8 +213,9 @@ def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: floa
     estimates (sizes in ascending order), and the squares are summed in point
     order.  Zero for a perfect collapse where sizes share x grid points.
 
-    What depends only on the dataset and `neighbors` (size groups, each size's
-    other points and their slots) is built once and cached on the dataset.
+    What depends only on the dataset and `neighbors` (size groups, and each
+    other size's candidate places, grouped by point count) is built once and
+    cached on the dataset.
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
@@ -221,17 +236,18 @@ def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: floa
     # one estimate per (point, other size), filled in ascending size order
     estimates = np.empty((len(data), layout.n_sizes - 1))
     flat = estimates.reshape(-1)
-    for k, parts, others, slots in layout.widths:
-        xp, fp = [], []
-        for s, others_s in parts:
-            xs = x_sorted[edges[s]:edges[s + 1]]
-            q = x[others_s]
-            near = np.argpartition(np.abs(xs - q[:, None]), k - 1, axis=1)[:, :k]
+    for k, blocks, queries, slots in layout.widths:
+        q = x[queries]
+        chosen = []
+        for places, rows in blocks:
+            near = np.abs(x_sorted[places] - q[rows, None]).argpartition(k - 1, axis=1)[:, :k]
             near.sort(axis=1)
-            xp.append(xs[near])
-            fp.append(y_sorted[edges[s]:edges[s + 1]][near])
-        flat[slots] = _interp_rows(x[others], np.concatenate(xp), np.concatenate(fp))
-    r = y - np.mean(estimates, axis=1)
+            near += places[:, :1]  # each row's places are consecutive
+            chosen.append(near)
+        chosen = np.concatenate(chosen)
+        flat[slots] = _interp_rows(q, x_sorted[chosen], y_sorted[chosen])
+    # np.mean's sum-then-divide, without its wrapper
+    r = y - np.add.reduce(estimates, axis=1) / (layout.n_sizes - 1)
     # running sums keep the point-by-point summation order
     if layout.wsum == 0:
         raise CollapseError("no point could be scored against another size")
@@ -274,16 +290,21 @@ def _normalized_quality(data: ScalingDataset, p) -> float:
     # The absolute quality is degenerate along zeta/nu (rescaling all y toward
     # zero shrinks it for free), so the optimizer scores residuals relative to
     # the spread of the rescaled y values.
+    delta_c, nu, zeta = p.tolist()
     try:
-        q = collapse_quality(data, p[0], p[1], p[2])
+        q = collapse_quality(data, delta_c, nu, zeta)
     except CollapseError:
         return 1e12
-    _, y = data.rescaled(p[0], p[1], p[2])
-    var = float(np.var(y))
+    _, y = data.rescaled(delta_c, nu, zeta)
+    # np.var(y): the same two pairwise sums, without its wrapper
+    d = y - np.add.reduce(y) / len(y)
+    var = float(np.add.reduce(d * d) / len(y))
     return q / var if var > 0 else q
 
 
 def _minimize_quality(data: ScalingDataset, x0, bounds, maxiter: int):
+    from scipy.optimize import minimize  # loaded at the first fit, not at import
+
     return minimize(
         lambda p: _normalized_quality(data, p),
         np.asarray(x0, dtype=float),

@@ -13,9 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +21,7 @@ import numpy as np
 from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
                            steady_state_entropy)
 from .model import Boundary, ModelParams, build_hamiltonian
-from .propagation import Schedule, TrajectoryError, run_trajectory
+from .propagation import Schedule, TrajectoryError, _is_int, _is_number, run_trajectory
 from .scaling import (DEFAULT_BOUNDS, DEFAULT_INIT, CollapseError, ScalingDataset,
                       cft_log_fit, fit_collapse, power_law_fit)
 from .spectral import average_fractal_dimension, phase_boundaries
@@ -35,6 +33,9 @@ class Smoothing:
     tail_fraction: float = 0.25
 
     def __post_init__(self):
+        for name in ("sigma", "tail_fraction"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"smoothing {name} must be a number, got {getattr(self, name)!r}")
         if not self.sigma > 0 or not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("smoothing needs sigma > 0 and tail_fraction in (0, 1]")
 
@@ -48,13 +49,11 @@ class Analyses:
     mutual_info: bool = False
     density_movie: bool = False
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool)
+    def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"analyses {f.name} must be true or false, "
+                                 f"got {getattr(self, f.name)!r}")
 
 
 def _is_seq(v, n: int) -> bool:
@@ -352,6 +351,8 @@ def _run_grid(config: SweepConfig) -> list:
     grid = _sorted_grid(config)
     if config.workers == 1 or len(grid) == 1:
         return [_run_point(config, *pt) for pt in grid]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
     order = sorted(range(len(grid)), key=lambda i: -grid[i][2])
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         futures = {i: pool.submit(_run_point, config, *grid[i]) for i in order}

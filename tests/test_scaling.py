@@ -173,6 +173,61 @@ def test_collapse_quality_matches_loop_on_edge_layouts():
                 assert np.isnan(kernel(grid, grid.deltas[10], 1e-3, 0.0, neighbors=neighbors))
 
 
+def selection_blocks(data, neighbors):
+    """Per width, the point count and the size indices of each selection block."""
+    layout = scaling._collapse_layout(data, neighbors)
+    return {k: [(places.shape[1],
+                 np.unique(np.searchsorted(layout.edges, places[:, 0], "right") - 1).tolist())
+                for places, _ in blocks]
+            for k, blocks, _, _ in layout.widths}
+
+
+def extreme_and_random_params(rng, n):
+    """The corners of the random test's nu/zeta range, then uniform draws from it."""
+    corners = [(dc, nu, zeta) for dc in (0.0, 0.15, 0.3) for nu in (0.5, 4.0)
+               for zeta in (0.5, 4.0)]
+    return corners + [(rng.uniform(0.0, 0.3), rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
+                      for _ in range(n)]
+
+
+def test_collapse_quality_matches_loop_with_mixed_point_counts():
+    # counts 2, 4, 4, 7, 9: at neighbors 3 one width holds counts 4, 7 and 9,
+    # and its count-4 block stacks two sizes
+    rng = np.random.default_rng(77)
+    counts = {16: 2, 32: 4, 48: 4, 64: 7, 96: 9}
+    data = ScalingDataset.from_points(
+        [(L, d, 1.0 + rng.uniform()) for L, c in counts.items()
+         for d in rng.uniform(0.0, 0.3, size=c)])
+    assert selection_blocks(data, 3)[3] == [(4, [1, 2]), (7, [3]), (9, [4])]
+    assert selection_blocks(data, 5)[4] == [(4, [1, 2])]
+    values = 0
+    for neighbors in (1, 2, 3, 4, 5):
+        for params in extreme_and_random_params(rng, 60):
+            q = assert_matches_loop(data, *params, neighbors=neighbors)
+            values += not isinstance(q, tuple)
+    assert values > 300
+
+
+def test_collapse_quality_matches_loop_on_bootstrap_resamples():
+    rng = np.random.default_rng(31)
+    mixed = ScalingDataset.from_points(
+        [(L, d, 1.0 + rng.uniform()) for L, c in {16: 2, 32: 4, 48: 4, 64: 7, 96: 9}.items()
+         for d in rng.uniform(0.0, 0.3, size=c)])
+    planted = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=rng)
+    values = 0
+    for base in (mixed, planted):
+        n = len(base)
+        for _ in range(8):
+            idx = rng.integers(0, n, size=n)
+            assert len(np.unique(idx)) < n  # rows repeat
+            data = resample(base, idx)
+            for neighbors in (1, 2, 3, 5):
+                for params in extreme_and_random_params(rng, 10):
+                    q = assert_matches_loop(data, *params, neighbors=neighbors)
+                    values += not isinstance(q, tuple)
+    assert values > 1000
+
+
 def test_collapse_quality_errors_match_loop():
     data = synthetic_collapse(0.15, 1.9, 2.0)
     for nu in (0.0, -1.0):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -447,7 +448,7 @@ def test_pool_gets_longest_points_first(tmp_path, monkeypatch):
             future.set_result(failed_point(gamma, delta, length))
             return future
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = config_from_dict({**FAST, "gamma_values": [0.0, -0.5], "delta_values": [0.3, 0.1],
                             "sizes": [16, 8, 24], "workers": 2,
                             "output_dir": str(tmp_path / "out")})
@@ -479,6 +480,17 @@ def test_pool_gets_longest_points_first(tmp_path, monkeypatch):
     ("schedule", "stepz", 100),
     ("smoothing", "sigmaa", 1.0),
     ("analyses", "colapse", True),
+    ("analyses", "cft_fit", "false"),
+    ("analyses", "collapse", 1),
+    ("schedule", "early_stop", "false"),
+    ("schedule", "steps", 2.5),
+    ("schedule", "steps", True),
+    ("schedule", "sample_stride", "7"),
+    ("schedule", "dt", "10"),
+    ("schedule", "dt", True),
+    ("schedule", "dt", float("nan")),
+    ("smoothing", "sigma", "20"),
+    ("smoothing", "tail_fraction", True),
 ])
 def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, section, field,
                                                        value):
@@ -491,8 +503,8 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     with pytest.raises(ValueError, match=field):
         config_from_dict(raw)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**raw, "schedule": {**raw["schedule"],
-                                                        "early_stop": True}}))
+    cfg_path.write_text(json.dumps({**raw, "schedule": {"early_stop": True,
+                                                        **raw["schedule"]}}))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "out").exists()
 
