@@ -171,9 +171,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -15,6 +15,20 @@ EXPORT_KINDS = (
     "density_heatmap", "collapse", "fractal_map",
 )
 
+# Row-table kinds: the source file, the filters that apply (each --gamma/--delta
+# given), and each output column as (source column, type, header).  Rows are
+# written in (delta, L) order, ties in file order.
+_ROW_TABLES = {
+    "s_vs_delta": ("sweep.csv", ("gamma",),
+                   [("delta", float, "delta"), ("L", int, "L"),
+                    ("s_half_steady", float, "s_half")]),
+    "s_vs_L": ("sweep.csv", ("gamma", "delta"),
+               [("L", int, "L"), ("s_half_steady", float, "s_half"),
+                ("delta", float, "delta")]),
+    "mutual_info": ("mutual_info.csv", ("gamma",),
+                    [("delta", float, "delta"), ("L", int, "L"), ("mi", float, "mi")]),
+}
+
 
 def _require(paths: list[Path]):
     missing = [str(p) for p in paths if not p.exists()]
@@ -79,40 +93,17 @@ def export_figure_data(
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
     outdir = Path(output_dir)
 
-    if kind in ("s_vs_delta", "s_vs_L"):
-        src = outdir / "sweep.csv"
+    if kind in _ROW_TABLES:
+        source, filters, columns = _ROW_TABLES[kind]
+        src = outdir / source
         _require([src])
-        rows = read_csv(src)
-        if gamma is not None:
-            rows = [r for r in rows if _close(r["gamma"], gamma)]
-        if kind == "s_vs_delta":
-            table = [[float(r["delta"]), int(r["L"]), float(r["s_half_steady"])]
-                     for r in rows]
-            table.sort(key=lambda t: (t[0], t[1]))
-            header = ["delta", "L", "s_half"]
-            default_name = "fig_s_vs_delta.csv"
-        else:
-            if delta is not None:
-                rows = [r for r in rows if _close(r["delta"], delta)]
-            table = [[int(r["L"]), float(r["s_half_steady"]), float(r["delta"])]
-                     for r in rows]
-            table.sort(key=lambda t: (t[2], t[0]))
-            header = ["L", "s_half", "delta"]
-            default_name = "fig_s_vs_L.csv"
-        path = Path(out_path) if out_path else outdir / default_name
-        write_csv(path, header, table)
-        return path
-
-    if kind == "mutual_info":
-        src = outdir / "mutual_info.csv"
-        _require([src])
-        rows = read_csv(src)
-        if gamma is not None:
-            rows = [r for r in rows if _close(r["gamma"], gamma)]
-        table = [[float(r["delta"]), int(r["L"]), float(r["mi"])] for r in rows]
-        table.sort(key=lambda t: (t[0], t[1]))
-        path = Path(out_path) if out_path else outdir / "fig_mutual_info.csv"
-        write_csv(path, ["delta", "L", "mi"], table)
+        wanted = {"gamma": gamma, "delta": delta}
+        rows = [r for r in read_csv(src)
+                if all(wanted[k] is None or _close(r[k], wanted[k]) for k in filters)]
+        rows.sort(key=lambda r: (float(r["delta"]), int(r["L"])))
+        path = Path(out_path) if out_path else outdir / f"fig_{kind}.csv"
+        write_csv(path, [header for _, _, header in columns],
+                  [[cast(r[col]) for col, cast, _ in columns] for r in rows])
         return path
 
     if kind in ("entropy_profile", "density_heatmap"):

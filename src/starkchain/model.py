@@ -67,10 +67,6 @@ class Hamiltonian:
     matrix: np.ndarray
     params: ModelParams
 
-    @property
-    def length(self) -> int:
-        return self.params.length
-
 
 def as_matrix(h) -> np.ndarray:
     """Accept a Hamiltonian or a bare square array and return the array."""

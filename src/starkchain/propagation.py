@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy.linalg
@@ -44,10 +44,6 @@ class SlaterState:
     @property
     def length(self) -> int:
         return self.orbitals.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.orbitals.shape[1]
 
 
 def init_z2_state(length: int) -> SlaterState:
@@ -178,6 +174,38 @@ def _is_number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+# What a config value must be for each declared field type, and how to say it.
+_FIELD_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an int"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_field_types(obj, where: str = ""):
+    """Check each field of dataclass `obj` against its declared type.
+
+    Fields declared bool, int, float or str must hold such a value; a field
+    declared tuple[T, ...] must hold a list or tuple of them, and is stored as a
+    tuple of T, so integral numbers in a float grid become floats.  Fields of
+    other types are left to their class.  Raises ValueError naming the field.
+    """
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        label = f"{where} {name}".lstrip()
+        if get_origin(hint) is tuple:
+            item = get_args(hint)[0]
+            ok, what = _FIELD_TYPES[item]
+            if not isinstance(value, (list, tuple)) or not all(map(ok, value)):
+                raise ValueError(f"{label} must be a list, each item {what}, got {value!r}")
+            object.__setattr__(obj, name, tuple(map(item, value)))
+        elif hint in _FIELD_TYPES:
+            ok, what = _FIELD_TYPES[hint]
+            if not ok(value):
+                raise ValueError(f"{label} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Time-stepping plan: step size, budget, sampling and plateau stopping."""
@@ -188,13 +216,7 @@ class Schedule:
     early_stop: bool = False
 
     def __post_init__(self):
-        if not _is_number(self.dt):
-            raise ValueError(f"schedule dt must be a number, got {self.dt!r}")
-        for name in ("steps", "sample_stride"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"schedule {name} must be an int, got {getattr(self, name)!r}")
-        if not isinstance(self.early_stop, bool):
-            raise ValueError(f"schedule early_stop must be true or false, got {self.early_stop!r}")
+        _check_field_types(self, "schedule")
         if not self.dt > 0 or self.steps < 1 or self.sample_stride < 1:
             raise ValueError("schedule needs dt > 0, steps >= 1, sample_stride >= 1")
 

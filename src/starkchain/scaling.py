@@ -110,14 +110,9 @@ class ScalingDataset:
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def restrict_delta(self, min_delta: float | None = None,
-                       max_delta: float | None = None) -> "ScalingDataset":
-        """Keep only points inside the fit window [min_delta, max_delta]."""
-        keep = np.ones(len(self), dtype=bool)
-        if min_delta is not None:
-            keep &= self.deltas >= min_delta
-        if max_delta is not None:
-            keep &= self.deltas <= max_delta
+    def restrict_delta(self, min_delta: float | None = None) -> "ScalingDataset":
+        """Keep only points with delta >= min_delta (all points when it is None)."""
+        keep = np.ones(len(self), dtype=bool) if min_delta is None else self.deltas >= min_delta
         return ScalingDataset(self.sizes[keep], self.deltas[keep],
                               self.values[keep], self.weights[keep])
 

@@ -13,17 +13,20 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
                            steady_state_entropy)
 from .model import Boundary, ModelParams, build_hamiltonian
-from .propagation import Schedule, TrajectoryError, _is_int, _is_number, run_trajectory
-from .scaling import (DEFAULT_BOUNDS, DEFAULT_INIT, CollapseError, ScalingDataset,
-                      cft_log_fit, fit_collapse, power_law_fit)
+from .propagation import (Schedule, TrajectoryError, _check_field_types, _is_number,
+                          run_trajectory)
+from .scaling import (DEFAULT_BOUNDS, DEFAULT_INIT, ScalingDataset, cft_log_fit, fit_collapse,
+                      power_law_fit)
 from .spectral import average_fractal_dimension, phase_boundaries
 
 
@@ -33,9 +36,7 @@ class Smoothing:
     tail_fraction: float = 0.25
 
     def __post_init__(self):
-        for name in ("sigma", "tail_fraction"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"smoothing {name} must be a number, got {getattr(self, name)!r}")
+        _check_field_types(self, "smoothing")
         if not self.sigma > 0 or not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("smoothing needs sigma > 0 and tail_fraction in (0, 1]")
 
@@ -50,10 +51,7 @@ class Analyses:
     density_movie: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            if not isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"analyses {f.name} must be true or false, "
-                                 f"got {getattr(self, f.name)!r}")
+        _check_field_types(self, "analyses")
 
 
 def _is_seq(v, n: int) -> bool:
@@ -77,11 +75,10 @@ class CollapseOptions:
     seed: int = 7
 
     def __post_init__(self):
-        if not _is_int(self.bootstrap_n) or self.bootstrap_n < 0:
-            raise ValueError(f"collapse_options bootstrap_n must be an int >= 0, "
-                             f"got {self.bootstrap_n!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"collapse_options seed must be an int >= 0, got {self.seed!r}")
+        _check_field_types(self, "collapse_options")
+        for name in ("bootstrap_n", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"collapse_options {name} must be >= 0")
         if not (_is_seq(self.bounds, 3) and all(
                 _is_seq(b, 2) and all(map(_is_number, b)) and b[0] < b[1] for b in self.bounds)):
             raise ValueError(f"collapse_options bounds must be 3 (lo, hi) pairs with lo < hi, "
@@ -116,9 +113,9 @@ class CollapseOptions:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    gamma_values: tuple
-    delta_values: tuple
-    sizes: tuple
+    gamma_values: tuple[float, ...]
+    delta_values: tuple[float, ...]
+    sizes: tuple[int, ...]
     boundary: Boundary = Boundary.OPEN
     schedule: Schedule = field(default_factory=Schedule)
     smoothing: Smoothing = field(default_factory=Smoothing)
@@ -131,15 +128,18 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", Boundary(self.boundary))
+        _check_field_types(self)
         if not self.gamma_values or not self.delta_values or not self.sizes:
             raise ValueError("gamma_values, delta_values and sizes must be nonempty")
         if any(L % 2 != 0 for L in self.sizes):
             raise ValueError("all sizes must be even")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
-        for name in ("record_timings", "save_trajectories"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        for g, d, L in product(self.gamma_values, self.delta_values, self.sizes):
+            try:
+                ModelParams(g, d, L, self.boundary)
+            except ValueError as err:
+                raise ValueError(f"grid point gamma={g!r}, delta={d!r}, L={L!r}: {err}") from None
 
 
 PRESETS = {
@@ -158,11 +158,15 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _reject_unknown_keys(section: dict, cls, where: str):
-    known = {f.name for f in fields(cls)}
+def _check_keys(section: dict, cls, where: str):
+    """Reject keys that are not fields of `cls`, and missing fields without a default."""
+    known = {f.name: f for f in fields(cls)}
     for name in section:
         if name not in known:
             raise ValueError(f"unknown key {name!r} in {where}; choose from {sorted(known)}")
+    for name, f in known.items():
+        if name not in section and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {name!r} in {where}")
 
 
 def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
@@ -172,30 +176,18 @@ def config_from_dict(raw: dict, preset: str | None = None) -> SweepConfig:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         data = _merge(data, PRESETS[preset])
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be an object, got {raw!r}")
     data = _merge(data, raw)
-    _reject_unknown_keys(data, SweepConfig, "config")
-
-    def sub(cls, key):
-        section = data.get(key, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"config section {key!r} must be an object, got {section!r}")
-        _reject_unknown_keys(section, cls, f"config section {key!r}")
-        return cls(**section)
-
-    return SweepConfig(
-        gamma_values=tuple(float(g) for g in data["gamma_values"]),
-        delta_values=tuple(float(d) for d in data["delta_values"]),
-        sizes=tuple(int(s) for s in data["sizes"]),
-        boundary=Boundary(data.get("boundary", "open")),
-        schedule=sub(Schedule, "schedule"),
-        smoothing=sub(Smoothing, "smoothing"),
-        analyses=sub(Analyses, "analyses"),
-        collapse_options=sub(CollapseOptions, "collapse_options"),
-        output_dir=str(data.get("output_dir", "out")),
-        workers=data.get("workers", 1),
-        record_timings=data.get("record_timings", False),
-        save_trajectories=data.get("save_trajectories", False),
-    )
+    _check_keys(data, SweepConfig, "config")
+    for key, cls in get_type_hints(SweepConfig).items():
+        if is_dataclass(cls) and key in data:
+            section = data[key]
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {key!r} must be an object, got {section!r}")
+            _check_keys(section, cls, f"config section {key!r}")
+            data[key] = cls(**section)
+    return SweepConfig(**data)
 
 
 def load_config(path, preset: str | None = None) -> SweepConfig:
@@ -484,7 +476,6 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
         min_d = config.collapse_options.min_delta_for(g)
         data = data.restrict_delta(min_delta=min_d)
         try:
-            data.require_fit_invariants()
             fit = fit_collapse(
                 data,
                 init=config.collapse_options.init,
@@ -492,7 +483,7 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
                 bootstrap_n=config.collapse_options.bootstrap_n,
                 seed=config.collapse_options.seed,
             )
-        except (CollapseError, ValueError) as err:
+        except ValueError as err:
             fits[f"{g:g}"] = {"error": str(err)}
             continue
         fits[f"{g:g}"] = fit.as_dict()

@@ -1,5 +1,7 @@
 import concurrent.futures
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from starkchain.cli import main as cli_main
 from starkchain.export import export_figure_data
 from starkchain.scaling import power_law_fit
 from starkchain import sweep as sweep_mod
-from starkchain.sweep import ROW_COLUMNS, Analyses, Schedule, point_tag, write_csv
+from starkchain.sweep import (ROW_COLUMNS, Analyses, CollapseOptions, Schedule, Smoothing,
+                              point_tag, write_csv)
 
 FAST = {
     "gamma_values": [-0.5],
@@ -105,10 +108,9 @@ def test_sweep_determinism_and_worker_independence(tmp_path):
 
 
 def test_row_failure_isolation(tmp_path):
-    # odd size is rejected by the config, so break a row via schedule instead:
-    # delta is fine; use a gamma=1 chain (valid) and a negative-delta injection
-    # through a handcrafted config dict is blocked by validation, so instead
-    # check that a raising analysis point is recorded without aborting others.
+    # the config rejects every grid point that ModelParams would reject (odd or
+    # too small sizes, negative delta), so no config makes a point fail: inject a
+    # failing point instead and check that it is recorded without aborting others.
     cfg = config_from_dict({
         **FAST,
         "gamma_values": [0.0],
@@ -517,6 +519,14 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     ("workers", "2", "workers must be an int"),
     ("workers", 2.0, "workers must be an int"),
     ("workers", True, "workers must be an int"),
+    ("sizes", [16.7, "24"], "sizes must be a list, each item an int"),
+    ("sizes", [16.0], "sizes must be a list, each item an int"),
+    ("gamma_values", [True], "gamma_values must be a list, each item a number"),
+    ("gamma_values", -0.5, "gamma_values must be a list"),
+    ("delta_values", ["0.1"], "delta_values must be a list, each item a number"),
+    ("output_dir", 5, "output_dir must be a string"),
+    ("delta_values", [-0.1], "delta=-0.1.*delta must be >= 0"),
+    ("sizes", [0], "L=0.*length must be >= 2"),
 ])
 def test_cli_rejects_invalid_top_level_before_stepping(tmp_path, monkeypatch, key, value,
                                                        message):
@@ -531,6 +541,49 @@ def test_cli_rejects_invalid_top_level_before_stepping(tmp_path, monkeypatch, ke
     cfg_path.write_text(json.dumps(raw))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# One value of the wrong type for each declared scalar type.
+WRONG_TYPE = {bool: ["true", 1], int: [2.5, "2", True], float: ["1.0", True], str: [5]}
+
+
+@pytest.mark.parametrize("cls", [Schedule, Smoothing, Analyses, CollapseOptions, SweepConfig])
+def test_every_typed_field_rejects_a_wrong_type(cls):
+    base = ({"gamma_values": (-0.5,), "delta_values": (0.15,), "sizes": (16,)}
+            if cls is SweepConfig else {})
+    hints = typing.get_type_hints(cls)
+    checked = 0
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is tuple:
+            wrong_values = [[w] for w in WRONG_TYPE[typing.get_args(hint)[0]]]
+        else:
+            wrong_values = WRONG_TYPE.get(hint, [])
+        for wrong in wrong_values:
+            with pytest.raises(ValueError, match=f.name):
+                cls(**{**base, f.name: wrong})
+            checked += 1
+    assert checked > 0
+
+
+def test_integral_grid_values_write_the_same_bytes(tmp_path):
+    outs = []
+    for name, deltas in (("ints", [0, 1]), ("floats", [0.0, 1.0])):
+        out = tmp_path / name
+        run_sweep(config_from_dict({**FAST, "delta_values": deltas, "output_dir": str(out)}))
+        outs.append(out)
+    assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+    manifests = [(out / "manifest.json").read_text().replace(str(out), "OUT") for out in outs]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("raw", [[FAST], "cfg", 5])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, raw):
+    with pytest.raises(ValueError, match="config must be an object"):
+        config_from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
 
 
 def test_config_section_must_be_an_object():
