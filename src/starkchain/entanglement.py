@@ -136,8 +136,10 @@ def gaussian_smooth(series: Sequence[float], sigma: float) -> np.ndarray:
         return s.copy()
     n = np.arange(-m, m + 1)
     kernel = np.exp(-0.5 * (n / sigma) ** 2)
-    num = np.convolve(s, kernel, mode="same")
-    den = np.convolve(np.ones_like(s), kernel, mode="same")
+    # "full" then the centred slice: mode="same" returns max(len) entries, so a
+    # series shorter than the kernel would come back with the kernel's length.
+    num = np.convolve(s, kernel, "full")[m:m + s.size]
+    den = np.convolve(np.ones_like(s), kernel, "full")[m:m + s.size]
     return num / den
 
 

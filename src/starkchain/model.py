@@ -38,9 +38,10 @@ def j_right(gamma: float) -> float:
 class ModelParams:
     """Parameters of one chain: nonreciprocity gamma, tilt delta, size, boundary.
 
-    delta must be >= 0.  gamma is unrestricted; |gamma| = 1 makes one hopping
-    vanish and is still a valid chain.  Evenness of the length is required only
-    when the half-filled alternating initial state is built, not here.
+    gamma and delta must be finite, and delta >= 0.  gamma is otherwise
+    unrestricted; |gamma| = 1 makes one hopping vanish and is still a valid
+    chain.  Evenness of the length is required only when the half-filled
+    alternating initial state is built, not here.
     """
 
     gamma: float
@@ -50,6 +51,9 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", Boundary(self.boundary))
+        if not (np.isfinite(self.gamma) and np.isfinite(self.delta)):
+            raise ValueError(f"gamma and delta must be finite, got gamma={self.gamma}, "
+                             f"delta={self.delta}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         min_len = 2 if self.boundary is Boundary.OPEN else 3

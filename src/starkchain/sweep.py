@@ -1,7 +1,9 @@
 """Config-driven grid runner: trajectories over (gamma, delta, L) with persistence.
 
 Outputs are plain CSV/JSON/NPZ files in an output directory, listed in a
-manifest with content hashes.  Runs are deterministic: a rerun with an
+manifest with content hashes.  Each grid point's files are written by the
+process that ran it as soon as the point finishes; the manifest is written
+last.  Runs are deterministic: at a fixed BLAS thread count, a rerun with an
 identical config (including seed) produces byte-identical files, independent
 of the worker count.  Wall-clock timing is therefore only recorded when
 `record_timings` is enabled, since real timings vary between runs.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import product
@@ -19,6 +22,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+import scipy
 
 from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
                            steady_state_entropy)
@@ -267,14 +271,20 @@ ROW_COLUMNS = [
 
 
 def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> dict:
-    """Run one trajectory; never raises, failures are recorded in the result."""
+    """Run one trajectory and write the point's own files into the output directory.
+
+    Returns the point's row: its scalars, its mutual information and CFT fit,
+    and the paths written, but no array, so a pool worker sends back only a
+    few hundred bytes.  A failing trajectory is recorded in the row instead of
+    raising; a failing write raises.
+    """
     t0 = time.perf_counter()
     result = {
         "gamma": gamma, "delta": delta, "L": length,
         "boundary": config.boundary.value,
         "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
         "converged": False, "wall_time_s": 0.0, "error": None,
-        "mi_steady": None, "detail": None,
+        "mi_steady": None, "cft_fit": None, "files": [],
     }
     mi_steps: list = []
     mi_vals: list = []
@@ -307,6 +317,26 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         n_tail = max(1, int(round(sm.tail_fraction * len(mi_vals))))
         result["mi_steady"] = float(np.mean(mi_vals[-n_tail:]))
 
+    outdir = Path(config.output_dir)
+    tag = point_tag(gamma, delta, length)
+    files = result["files"]
+    if config.analyses.cft_fit:
+        prof = entropy_profile(record.final_correlation)
+        path = outdir / f"profile_{tag}.csv"
+        write_profile_csv(path, prof, length)
+        files.append(path)
+        try:
+            fit = cft_log_fit(prof, length)
+            result["cft_fit"] = {"c": fit.c, "const": fit.const,
+                                 "rms_residual": fit.rms_residual}
+        except ValueError as err:
+            result["cft_fit"] = {"error": str(err)}
+
+    if config.analyses.density_movie:
+        path = outdir / f"density_{tag}.csv"
+        write_density_csv(path, record.density_steps, record.density_series)
+        files.append(path)
+
     if config.save_trajectories or config.analyses.cft_fit or config.analyses.density_movie:
         detail = {
             "gamma": np.float64(gamma),
@@ -324,7 +354,9 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         if want_mi and mi_vals:
             detail["mi_steps"] = np.asarray(mi_steps, dtype=int)
             detail["mi_series"] = np.asarray(mi_vals)
-        result["detail"] = detail
+        path = outdir / f"traj_{tag}.npz"
+        np.savez(path, **detail)
+        files.append(path)
     return result
 
 
@@ -337,18 +369,26 @@ def _sorted_grid(config: SweepConfig) -> list:
     ]
 
 
-def _run_grid(config: SweepConfig) -> list:
-    """Results in grid order.  A pool gets the points longest-first (descending L,
-    ties in grid order), so the largest point never starts last."""
+def _run_grid(config: SweepConfig) -> tuple[list, list | None]:
+    """Rows in grid order, and the fractal rows when that analysis is on.
+
+    A pool gets the points longest-first (descending L, ties in grid order), so
+    the largest point never starts last, and the fractal map as one more task:
+    the calling process then does no numerical work.
+    """
     grid = _sorted_grid(config)
+    fractal = config.analyses.fractal
     if config.workers == 1 or len(grid) == 1:
-        return [_run_point(config, *pt) for pt in grid]
+        return ([_run_point(config, *pt) for pt in grid],
+                _fractal_rows(config) if fractal else None)
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
     order = sorted(range(len(grid)), key=lambda i: -grid[i][2])
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         futures = {i: pool.submit(_run_point, config, *grid[i]) for i in order}
-        return [futures[i].result() for i in range(len(grid))]
+        fractal_future = pool.submit(_fractal_rows, config) if fractal else None
+        return ([futures[i].result() for i in range(len(grid))],
+                fractal_future.result() if fractal else None)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +400,7 @@ def _output_dir(config: SweepConfig) -> Path:
     return outdir
 
 
-# Names of the files _emit_results may write besides sweep.csv, as glob patterns.
+# Names of the analysis files a sweep may write besides sweep.csv, as glob patterns.
 COLLAPSE_OUTPUTS = ("collapse.json", "collapse_g*.csv")
 ANALYSIS_OUTPUTS = ("mutual_info.csv", "power_law.json", *COLLAPSE_OUTPUTS, "fractal.csv",
                     "cft_fit.json", "profile_*.csv", "density_*.csv", "traj_*.npz")
@@ -373,18 +413,28 @@ def _clear_outputs(outdir: Path, patterns: tuple):
             stale.unlink()
 
 
-def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[list, dict]:
-    """Write sweep.csv and each enabled analysis; return the files and the collapse fits.
+def _start_run(config: SweepConfig) -> Path:
+    """Make the output directory and delete an earlier run's results in it.
 
-    Analysis files of an earlier run in `outdir` are removed first, so the
-    directory holds only this run's results; export tables (fig_*) stay.
+    Workers write each point's files as it finishes, so this runs before the
+    grid starts; the directory then holds only this run's results, and holds a
+    manifest only once the run has finished.  Export tables (fig_*) stay.
     """
-    _clear_outputs(outdir, ANALYSIS_OUTPUTS)
+    outdir = _output_dir(config)
+    _clear_outputs(outdir, ("manifest.json", "sweep.csv", *ANALYSIS_OUTPUTS))
+    return outdir
+
+
+def _emit_results(config: SweepConfig, outdir: Path, results: list,
+                  fractal: list | None) -> tuple[list, dict]:
+    """Write sweep.csv and the whole-run analyses; return all files and the collapse fits.
+
+    The per-point files are already written; their paths come from the rows.
+    """
     path = outdir / "sweep.csv"
     write_csv(path, ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
-    files = [path]
+    files = [path, *(p for r in results for p in r["files"])]
     ok = [r for r in results if r["error"] is None]
-    detailed = [r for r in ok if r["detail"] is not None]
 
     if config.analyses.mutual_info:
         mi_rows = [
@@ -419,39 +469,15 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list) -> tuple[lis
         collapse_files, collapse_fits = _emit_collapse(config, outdir, ok)
         files.extend(collapse_files)
 
-    if config.analyses.fractal:
-        files.append(_emit_fractal(config, outdir))
+    if fractal is not None:
+        files.append(_emit_fractal(outdir, fractal))
 
     if config.analyses.cft_fit:
-        fit_entries = {}
-        for r in detailed:
-            prof = entropy_profile(r["detail"]["final_correlation"])
-            tag = point_tag(r["gamma"], r["delta"], r["L"])
-            path = outdir / f"profile_{tag}.csv"
-            write_profile_csv(path, prof, r["L"])
-            files.append(path)
-            try:
-                fit = cft_log_fit(prof, r["L"])
-                fit_entries[tag] = {"c": fit.c, "const": fit.const,
-                                    "rms_residual": fit.rms_residual}
-            except ValueError as err:
-                fit_entries[tag] = {"error": str(err)}
+        fit_entries = {point_tag(r["gamma"], r["delta"], r["L"]): r["cft_fit"] for r in ok}
         if fit_entries:
             path = outdir / "cft_fit.json"
             write_json(path, fit_entries)
             files.append(path)
-
-    if config.analyses.density_movie:
-        for r in detailed:
-            tag = point_tag(r["gamma"], r["delta"], r["L"])
-            path = outdir / f"density_{tag}.csv"
-            write_density_csv(path, r["detail"]["density_steps"], r["detail"]["density_series"])
-            files.append(path)
-
-    for r in detailed:
-        path = outdir / f"traj_{point_tag(r['gamma'], r['delta'], r['L'])}.npz"
-        np.savez(path, **r["detail"])
-        files.append(path)
 
     return files, collapse_fits
 
@@ -503,14 +529,17 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
     return files, fits
 
 
-def _emit_fractal(config: SweepConfig, outdir: Path) -> Path:
+def _fractal_rows(config: SweepConfig) -> list:
     """Mean fractal dimension of H over the (gamma, delta) grid at the largest size."""
     L = max(config.sizes)
-    rows = [
+    return [
         [g, d, L, average_fractal_dimension(
             build_hamiltonian(ModelParams(g, d, L, config.boundary)))]
         for g in sorted(config.gamma_values) for d in sorted(config.delta_values)
     ]
+
+
+def _emit_fractal(outdir: Path, rows: list) -> Path:
     path = outdir / "fractal.csv"
     write_csv(path, ["gamma", "delta", "L", "gamma_bar"], rows)
     return path
@@ -534,7 +563,23 @@ def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict) -> Path:
     return path
 
 
+# Environment variables that set the BLAS thread count.  Past double precision's
+# reach (large L) the rounding order, and with it the output, depends on it.
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _runtime() -> dict:
+    """What besides the config can change output bytes: thread settings, cores, versions."""
+    return {
+        **{name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> dict:
+    """Write manifest.json, last of the run's files, and return it."""
     errors = [
         {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
         for r in results if r["error"] is not None
@@ -543,6 +588,7 @@ def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> di
         "config": config_as_dict(config),
         "status": "partial" if errors else "complete",
         "row_errors": errors,
+        "runtime": _runtime(),
         "files": [
             {"path": p.name, "sha256": sha256_file(p), "bytes": p.stat().st_size}
             for p in sorted(files, key=lambda p: p.name)
@@ -562,9 +608,9 @@ def run_sweep(config: SweepConfig) -> dict:
     SHA-256.  A failing grid point is recorded in its row and in the manifest
     but does not abort the rest of the sweep.
     """
-    outdir = _output_dir(config)
-    results = _run_grid(config)
-    files, _ = _emit_results(config, outdir, results)
+    outdir = _start_run(config)
+    results, fractal = _run_grid(config)
+    files, _ = _emit_results(config, outdir, results, fractal)
     return _finish(config, outdir, results, files)
 
 
@@ -578,10 +624,10 @@ def run_phase_diagram(config: SweepConfig) -> dict:
     """
     if len(config.gamma_values) < 2 or len(config.delta_values) < 2:
         raise ValueError("phase diagram needs at least 2 gamma and 2 delta values")
-    outdir = _output_dir(config)
-    results = _run_grid(config)
+    outdir = _start_run(config)
+    results, fractal = _run_grid(config)
     with_collapse = replace(config, analyses=replace(config.analyses, collapse=True))
-    files, fits = _emit_results(with_collapse, outdir, results)
+    files, fits = _emit_results(with_collapse, outdir, results, fractal)
 
     l_max = max(config.sizes)
     grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
@@ -596,7 +642,8 @@ def run_phase_diagram(config: SweepConfig) -> dict:
 def run_spectral(config: SweepConfig) -> dict:
     """Average fractal dimension over the grid plus analytic boundaries."""
     outdir = _output_dir(config)
-    files = [_emit_fractal(config, outdir), _emit_boundaries(config, outdir, {})]
+    files = [_emit_fractal(outdir, _fractal_rows(config)),
+             _emit_boundaries(config, outdir, {})]
     return _finish(config, outdir, [], files)
 
 

@@ -167,6 +167,25 @@ def test_gaussian_smooth_preserves_length_and_edges():
     assert out.shape == s.shape
 
 
+def reference_smooth(s, sigma):
+    """Per-index truncated Gaussian average over the in-range neighbours."""
+    m = int(np.ceil(4.0 * sigma))
+    out = []
+    for i in range(len(s)):
+        ks = [k for k in range(len(s)) if abs(k - i) <= m]
+        w = [np.exp(-0.5 * ((i - k) / sigma) ** 2) for k in ks]
+        out.append(sum(wk * s[k] for wk, k in zip(w, ks)) / sum(w))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,sigma", [(31, 20.0), (100, 20.0), (160, 20.0), (5, 2.0)])
+def test_gaussian_smooth_below_the_kernel_length_matches_reference(n, sigma):
+    s = np.sin(np.linspace(0.0, 3.0, n)) + np.linspace(0.0, 0.5, n)
+    out = gaussian_smooth(s, sigma)
+    assert out.shape == s.shape
+    assert np.allclose(out, reference_smooth(s, sigma), rtol=1e-12, atol=1e-13)
+
+
 def test_steady_state_entropy_constant_series():
     assert steady_state_entropy(np.full(500, 0.42)) == pytest.approx(0.42, rel=1e-12)
 

@@ -72,6 +72,14 @@ def test_length_bounds():
         ModelParams(0.0, -0.1, 4)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gamma_and_delta_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(bad, 0.1, 4)
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(-0.5, bad, 4)
+
+
 def test_jump_construction_matches_hermitian_chain_at_gamma_zero():
     params = ModelParams(0.0, 0.3, 8)
     assert np.array_equal(

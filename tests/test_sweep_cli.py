@@ -1,11 +1,13 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from starkchain import SweepConfig, config_from_dict, run_phase_diagram, run_spectral, run_sweep
 from starkchain.cli import main as cli_main
@@ -33,7 +35,7 @@ def failed_point(gamma, delta, length) -> dict:
     return {"gamma": gamma, "delta": delta, "L": length, "boundary": "open",
             "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
             "converged": False, "wall_time_s": 0.0, "error": "synthetic failure",
-            "mi_steady": None, "detail": None}
+            "mi_steady": None, "cft_fit": None, "files": []}
 
 
 def test_single_point_sweep_smoke(tmp_path):
@@ -527,6 +529,8 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     ("output_dir", 5, "output_dir must be a string"),
     ("delta_values", [-0.1], "delta=-0.1.*delta must be >= 0"),
     ("sizes", [0], "L=0.*length must be >= 2"),
+    ("delta_values", [float("nan")], "delta=nan.*must be finite"),
+    ("gamma_values", [float("nan")], "gamma=nan.*must be finite"),
 ])
 def test_cli_rejects_invalid_top_level_before_stepping(tmp_path, monkeypatch, key, value,
                                                        message):
@@ -697,3 +701,113 @@ def test_record_timings_sets_wall_time_column(tmp_path, record_timings):
         assert all(float(c) > 0 for c in cells)
     else:
         assert cells == ["0.00000000000000000e+00"] * 2
+
+
+EVERY_POINT_ANALYSIS = {
+    **FAST,
+    "delta_values": [0.1, 0.3],
+    "sizes": [8, 16],
+    "analyses": {"mutual_info": True, "cft_fit": True, "density_movie": True, "fractal": True},
+    "save_trajectories": True,
+}
+
+
+def holds_an_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        return any(holds_an_array(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(holds_an_array(v) for v in value)
+    return False
+
+
+def test_point_row_holds_no_array_and_names_the_files_written(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = config_from_dict({**EVERY_POINT_ANALYSIS, "output_dir": str(out)})
+    row = sweep_mod._run_point(cfg, -0.5, 0.15, 16)
+    assert row["error"] is None and row["mi_steady"] is not None
+    assert not holds_an_array(row)
+    tag = point_tag(-0.5, 0.15, 16)
+    assert sorted(p.name for p in row["files"]) == [
+        f"density_{tag}.csv", f"profile_{tag}.csv", f"traj_{tag}.npz"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in row["files"])
+    assert set(row["cft_fit"]) in ({"c", "const", "rms_residual"}, {"error"})
+
+
+def test_every_listed_file_is_byte_equal_across_worker_counts(tmp_path):
+    manifests = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        manifests.append(run_sweep(config_from_dict(
+            {**EVERY_POINT_ANALYSIS, "output_dir": str(out), "workers": workers})))
+    files = [{f["path"]: f["sha256"] for f in m["files"]} for m in manifests]
+    assert files[0] == files[1]
+    tags = [point_tag(-0.5, d, L) for d in (0.1, 0.3) for L in (8, 16)]
+    assert set(files[0]) == {"sweep.csv", "mutual_info.csv", "fractal.csv", "cft_fit.json",
+                             *(f"{kind}_{tag}.{ext}" for tag in tags for kind, ext in
+                               (("traj", "npz"), ("profile", "csv"), ("density", "csv")))}
+    for name in files[0]:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_pool_run_does_no_numerical_work_in_the_calling_process(tmp_path, monkeypatch):
+    main_pid = os.getpid()
+
+    def only_in_a_worker(real):
+        def call(*args, **kwargs):
+            assert os.getpid() != main_pid, f"{real.__name__} ran in the calling process"
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("run_trajectory", "entropy_profile", "average_fractal_dimension"):
+        monkeypatch.setattr(sweep_mod, name, only_in_a_worker(getattr(sweep_mod, name)))
+    raw = {**EVERY_POINT_ANALYSIS, "gamma_values": [-0.5, -0.3], "workers": 2}
+    assert run_sweep(config_from_dict({**raw, "output_dir": str(tmp_path / "s")}))[
+        "status"] == "complete"
+    assert run_phase_diagram(config_from_dict({**raw, "output_dir": str(tmp_path / "p")}))[
+        "status"] == "complete"
+
+
+def test_stale_point_files_outside_the_grid_are_gone_after_a_run(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    stale_tag = point_tag(0.9, 0.9, 8)
+    stale = [out / f"traj_{stale_tag}.npz", out / f"profile_{stale_tag}.csv"]
+    for path in stale:
+        path.write_text("an earlier run")
+    manifest = run_sweep(config_from_dict({**EVERY_POINT_ANALYSIS, "output_dir": str(out),
+                                           "workers": 2}))
+    assert not any(stale_tag in f["path"] for f in manifest["files"])
+    assert not any(path.exists() for path in stale)
+
+
+def test_no_manifest_or_earlier_rows_while_the_grid_runs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = config_from_dict({**FAST, "sizes": [8, 16], "output_dir": str(out)})
+    run_sweep(cfg)
+    earlier = [out / "manifest.json", out / "sweep.csv"]
+    assert all(path.exists() for path in earlier)
+    seen = []
+    run_point = sweep_mod._run_point
+
+    def watching(config, gamma, delta, length):
+        seen.append([path.exists() for path in earlier])
+        return run_point(config, gamma, delta, length)
+
+    monkeypatch.setattr(sweep_mod, "_run_point", watching)
+    run_sweep(cfg)
+    assert seen == [[False, False], [False, False]]
+    assert all(path.exists() for path in earlier)
+
+
+def test_manifest_records_the_runtime(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifest = run_sweep(config_from_dict({**FAST, "output_dir": str(tmp_path / "out")}))
+    runtime = manifest["runtime"]
+    assert runtime["OMP_NUM_THREADS"] == "1" and runtime["MKL_NUM_THREADS"] is None
+    assert "OPENBLAS_NUM_THREADS" in runtime
+    assert runtime["cpu_count"] == os.cpu_count()
+    assert runtime["numpy"] == np.__version__ and runtime["scipy"] == scipy.__version__
