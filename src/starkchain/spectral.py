@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import Boundary, Hamiltonian, as_matrix, j_left, j_right
 
@@ -56,6 +55,8 @@ def biorthogonal_eigendecomposition(H) -> BiorthogonalSpectrum:
     1e-12 signals a (near-)defective matrix for which this normalization is
     meaningless.
     """
+    import scipy.linalg  # loaded by the first call, not at import
+
     M = as_matrix(H)
     w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
     overlaps = np.einsum("ij,ij->j", vl.conj(), vr)

@@ -139,11 +139,17 @@ class SweepConfig:
             raise ValueError("all sizes must be even")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        tagged = {}
         for g, d, L in product(self.gamma_values, self.delta_values, self.sizes):
             try:
                 ModelParams(g, d, L, self.boundary)
             except ValueError as err:
                 raise ValueError(f"grid point gamma={g!r}, delta={d!r}, L={L!r}: {err}") from None
+            tag = point_tag(g, d, L)  # names the point's files, so it must be unique
+            if tag in tagged:
+                raise ValueError(f"grid points (gamma, delta, L) = {tagged[tag]!r} and "
+                                 f"{(g, d, L)!r} share the file tag {tag!r}")
+            tagged[tag] = (g, d, L)
 
 
 PRESETS = {

@@ -1,10 +1,12 @@
 """Modules that only some runs need stay unloaded until a run needs them.
 
-scipy.optimize serves only the collapse fit, and concurrent.futures.process
-only a sweep with a worker pool.  Each check runs in a fresh interpreter, since
-the test process may have loaded both already.
+scipy.optimize serves only the collapse fit, scipy.linalg only that fit and
+the biorthogonal spectrum (the step matrix is built with numpy), and
+concurrent.futures.process only a sweep with a worker pool.  Each check runs in
+a fresh interpreter, since the test process may have loaded them all already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LAZY = ("scipy.optimize", "concurrent.futures.process")
+LAZY = ("scipy.optimize", "scipy.linalg", "concurrent.futures.process")
 
 
 def run_fresh(script: str) -> list:
@@ -46,6 +48,58 @@ def test_stepping_loads_neither_optimizer_nor_pool_and_a_fit_still_works():
             for L in (16, 32, 64) for xi in x)
         fit = fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=0)
         print(np.isfinite([fit.delta_c, fit.nu, fit.zeta, fit.quality]).all())
-        print("scipy.optimize" in sys.modules)
+        print([m for m in lazy if m in sys.modules])
     """)
-    assert lines == ["[]", "[]", "True", "True"]
+    assert lines == ["[]", "[]", "True", "['scipy.optimize', 'scipy.linalg']"]
+
+
+def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "gamma_values": [-0.5], "delta_values": [0.1, 0.2], "sizes": [8],
+        "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
+        "save_trajectories": True}))
+    # The tripwire records every import of a watched module, in this process and
+    # in the sweep's forked workers, and otherwise leaves the import alone.
+    lines = run_fresh(f"""
+        import contextlib
+        import io
+        import os
+        import sys
+
+        import starkchain
+        import starkchain.cli
+        from starkchain import ModelParams, biorthogonal_eigendecomposition, build_hamiltonian
+
+        watched = ("scipy.linalg", "scipy.optimize")
+        attempts = {str(tmp_path / "attempts.txt")!r}
+
+        class Tripwire:
+            def find_spec(self, name, path=None, target=None):
+                if name in watched:
+                    with open(attempts, "a") as fh:
+                        print(os.getpid(), name, file=fh)
+                return None
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = starkchain.cli.main(list(argv))
+            print(argv[0], code, [m for m in watched if m in sys.modules])
+
+        sys.meta_path.insert(0, Tripwire())
+        print("import", 0, [m for m in watched if m in sys.modules])
+        out = {str(tmp_path)!r}
+        for workers in ("1", "2"):
+            run("simulate", "--config", {str(config)!r}, "--output", f"{{out}}/w{{workers}}",
+                "--workers", workers)
+        run("export", "--kind", "entropy_profile", "--output", f"{{out}}/w2",
+            "--gamma", "-0.5", "--delta", "0.1", "--size", "8")
+        run("verify", "--input", f"{{out}}/w2/traj_g-0.5_d0.1_L8.npz")
+        sys.meta_path.pop(0)
+        print(os.path.exists(attempts))
+
+        biorthogonal_eigendecomposition(build_hamiltonian(ModelParams(-0.5, 0.1, 8)))
+        print([m for m in watched if m in sys.modules])
+    """)
+    assert lines == ["import 0 []", "simulate 0 []", "simulate 0 []", "export 0 []",
+                     "verify 0 []", "False", "['scipy.linalg']"]

@@ -84,6 +84,36 @@ def test_propagator_two_site_analytic():
     assert omega == pytest.approx(0.8660254, abs=1e-7)
 
 
+def relative_expm_error(H, dt: float) -> float:
+    """Relative 1-norm distance of make_propagator's step matrix from scipy's expm."""
+    import scipy.linalg
+
+    exact = scipy.linalg.expm(-1j * dt * H.matrix)
+    P = make_propagator(H, dt).step_matrix
+    return np.linalg.norm(P - exact, 1) / np.linalg.norm(exact, 1)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("delta", [0.001, 0.05, 0.1, 0.15, 0.2, 0.3])
+@pytest.mark.parametrize("length", [32, 64, 96, 128])
+def test_propagator_matches_scipy_expm_on_workload_matrices(boundary, delta, length):
+    # every step matrix of the benchmark grids: scaled 2^-s with s = 2..7
+    H = build_hamiltonian(ModelParams(-0.5, delta, length, boundary))
+    assert relative_expm_error(H, 10.0) < 1e-13
+
+
+def test_propagator_matches_scipy_expm_without_scaling():
+    H = build_hamiltonian(ModelParams(-0.5, 0.1, 8))
+    assert np.linalg.norm(0.5 * H.matrix, 1) < propagation.THETA_13  # s = 0: no squaring
+    assert relative_expm_error(H, 0.5) < 1e-13
+
+
+def test_propagator_unitary_to_rounding_at_workload_scale():
+    H = build_hamiltonian(ModelParams(0.0, 0.3, 128))
+    P = make_propagator(H, dt=10.0).step_matrix
+    assert np.linalg.norm(P.conj().T @ P - np.eye(128), 2) <= 1e-12
+
+
 def test_propagator_expm_matches_eig():
     H = build_hamiltonian(ModelParams(-0.5, 0.15, 16))
     P1 = make_propagator(H, dt=2.0).step_matrix

@@ -531,6 +531,10 @@ def test_cli_rejects_invalid_smoothing_before_stepping(tmp_path, monkeypatch, se
     ("sizes", [0], "L=0.*length must be >= 2"),
     ("delta_values", [float("nan")], "delta=nan.*must be finite"),
     ("gamma_values", [float("nan")], "gamma=nan.*must be finite"),
+    ("delta_values", [0.1, 0.1000001, 0.1], r"0\.1, 16\) and \(-0\.5, 0\.1000001, 16\)"),
+    ("delta_values", [0.15, 0.15], r"\(-0\.5, 0\.15, 16\) and \(-0\.5, 0\.15, 16\)"),
+    ("gamma_values", [-0.5, -0.5000000001], "share the file tag 'g-0.5_d0.15_L16'"),
+    ("sizes", [16, 16], "share the file tag 'g-0.5_d0.15_L16'"),
 ])
 def test_cli_rejects_invalid_top_level_before_stepping(tmp_path, monkeypatch, key, value,
                                                        message):
