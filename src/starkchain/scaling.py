@@ -94,6 +94,7 @@ class ScalingDataset:
             array = np.array(getattr(self, name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "_last_rescaled", None)
 
     @classmethod
     def from_points(cls, points: Sequence[tuple]) -> "ScalingDataset":
@@ -125,10 +126,22 @@ class ScalingDataset:
         return {}
 
     def rescaled(self, delta_c: float, nu: float, zeta: float):
-        """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu})."""
+        """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu}).
+
+        The arrays are read-only.  The last call's pair is returned again when
+        called with the same three parameter objects, so the fit's objective
+        rescales once per evaluation.  Identity, not ==, decides: 0.0 == -0.0,
+        but the two give x of opposite sign where a delta is -0.0.
+        """
+        last = self._last_rescaled
+        if last is not None and last[0] is delta_c and last[1] is nu and last[2] is zeta:
+            return last[3], last[4]
         sizes = self._float_sizes
         x = sizes ** (1.0 / nu) * (self.deltas - delta_c)
         y = self.values * sizes ** (-zeta / nu)
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "_last_rescaled", (delta_c, nu, zeta, x, y))
         return x, y
 
     def require_fit_invariants(self):
@@ -290,23 +303,78 @@ def _normalized_quality(data: ScalingDataset, p) -> float:
         q = collapse_quality(data, delta_c, nu, zeta)
     except CollapseError:
         return 1e12
-    _, y = data.rescaled(delta_c, nu, zeta)
+    _, y = data.rescaled(delta_c, nu, zeta)  # the pair collapse_quality just made
     # np.var(y): the same two pairwise sums, without its wrapper
     d = y - np.add.reduce(y) / len(y)
     var = float(np.add.reduce(d * d) / len(y))
     return q / var if var > 0 else q
 
 
-def _minimize_quality(data: ScalingDataset, x0, bounds, maxiter: int):
-    from scipy.optimize import minimize  # loaded at the first fit, not at import
+class _SimplexResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    success: bool
 
-    return minimize(
-        lambda p: _normalized_quality(data, p),
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-14},
-    )
+
+def _nelder_mead(func, x0, lo, hi, maxiter: int) -> _SimplexResult:
+    """Minimize func over the box [lo, hi] with the Nelder-Mead simplex.
+
+    Nelder & Mead, Comput. J. 7, 308 (1965), with reflection 1, expansion 2,
+    contraction and shrink 1/2.  This is the path of scipy's minimize(...,
+    method="Nelder-Mead", bounds=..., xatol=1e-7, fatol=1e-14) at its
+    non-adaptive defaults, operation for operation, so a fit gives the same
+    bits: the start is clipped into the box; the initial vertices step each
+    coordinate by 5% (0.00025 from zero), are reflected back below the upper
+    bound where they pass it, then clipped; every trial point is clipped;
+    vertices are ordered by np.argsort (twice before the first iteration, as
+    there, so the path does not hang on how argsort orders ties); and the run
+    stops when the vertices lie within 1e-7 and their values within 1e-14 of
+    the best.  success is False when maxiter iterations run out first.
+    """
+    n = len(x0)
+    x0 = np.clip(x0, lo, hi)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-7
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return _SimplexResult(sim[0], np.min(fsim), iterations < maxiter)
 
 
 def fit_collapse(
@@ -318,19 +386,25 @@ def fit_collapse(
 ) -> CollapseFit:
     """Minimize the collapse residual over (delta_c, nu, zeta).
 
-    Runs a derivative-free simplex from `init` and 8 deterministically
-    perturbed copies, keeps the best minimum, and estimates parameter errors by
-    refitting `bootstrap_n` resamples of the points (seeded).  The optimizer
-    scores the variance-normalized residual (see _normalized_quality); the
-    reported quality is the plain collapse_quality at the fitted parameters.
-    Parameters are kept inside `bounds`; a result pinned at a bound sets the
-    clipped flag.
+    Runs the Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308 (1965);
+    see _nelder_mead) from `init` and 8 deterministically perturbed copies,
+    keeps the best minimum, and estimates parameter errors by refitting
+    `bootstrap_n` resamples of the points (seeded).  The optimizer scores the
+    variance-normalized residual (see _normalized_quality); the reported
+    quality is the plain collapse_quality at the fitted parameters.
+
+    Each (lo, hi) pair of `bounds` needs lo < hi, and `init` must lie inside.
+    Every point the simplex tries is clipped into the bounds, and an initial
+    vertex stepped past an upper bound is first reflected back below it; a
+    result pinned at a bound sets the clipped flag.
     """
     data.require_fit_invariants()
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError(f"bounds {bounds} need lo < hi in every pair")
     x0 = np.asarray(init, dtype=float)
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
         raise ValueError(f"init {init} outside bounds {bounds}")
 
     rng = np.random.default_rng(seed)
@@ -341,7 +415,7 @@ def fit_collapse(
 
     best = None
     for s in starts:
-        res = _minimize_quality(data, s, bounds, maxiter=2000)
+        res = _nelder_mead(lambda p: _normalized_quality(data, p), s, lo, hi, maxiter=2000)
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None
@@ -364,7 +438,8 @@ def fit_collapse(
                 break
         if resampled is None:
             continue
-        res = _minimize_quality(resampled, params, bounds, maxiter=400)
+        res = _nelder_mead(lambda p: _normalized_quality(resampled, p), params, lo, hi,
+                           maxiter=400)
         samples.append(np.clip(res.x, lo, hi))
     if len(samples) >= 2:
         errors = tuple(float(e) for e in np.std(np.asarray(samples), axis=0, ddof=1))

@@ -1,9 +1,10 @@
 """Modules that only some runs need stay unloaded until a run needs them.
 
-scipy.optimize serves only the collapse fit, scipy.linalg only that fit and
-the biorthogonal spectrum (the step matrix is built with numpy), and
-concurrent.futures.process only a sweep with a worker pool.  Each check runs in
-a fresh interpreter, since the test process may have loaded them all already.
+No starkchain code loads scipy.optimize: the collapse fit runs its own
+Nelder-Mead.  scipy.linalg serves only the biorthogonal spectrum (the step
+matrix is built with numpy), and concurrent.futures.process only a sweep with a
+worker pool.  Each check runs in a fresh interpreter, since the test process
+may have loaded them all already.
 """
 
 import json
@@ -50,7 +51,7 @@ def test_stepping_loads_neither_optimizer_nor_pool_and_a_fit_still_works():
         print(np.isfinite([fit.delta_c, fit.nu, fit.zeta, fit.quality]).all())
         print([m for m in lazy if m in sys.modules])
     """)
-    assert lines == ["[]", "[]", "True", "['scipy.optimize', 'scipy.linalg']"]
+    assert lines == ["[]", "[]", "True", "[]"]
 
 
 def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
@@ -59,11 +60,19 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         "gamma_values": [-0.5], "delta_values": [0.1, 0.2], "sizes": [8],
         "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
         "save_trajectories": True}))
+    # enough sizes and deltas for the collapse fits to run their simplex
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "gamma_values": [-0.5, -0.3], "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
+        "sizes": [6, 8, 10], "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
+        "analyses": {"fractal": False},
+        "collapse_options": {"window_min_delta": None, "bootstrap_n": 2}}))
     # The tripwire records every import of a watched module, in this process and
     # in the sweep's forked workers, and otherwise leaves the import alone.
     lines = run_fresh(f"""
         import contextlib
         import io
+        import json
         import os
         import sys
 
@@ -95,11 +104,17 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         run("export", "--kind", "entropy_profile", "--output", f"{{out}}/w2",
             "--gamma", "-0.5", "--delta", "0.1", "--size", "8")
         run("verify", "--input", f"{{out}}/w2/traj_g-0.5_d0.1_L8.npz")
+        run("phase-diagram", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
+        run("collapse", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
+        run("spectral", "--config", {str(grid)!r}, "--output", f"{{out}}/sp")
         sys.meta_path.pop(0)
         print(os.path.exists(attempts))
+        with open(f"{{out}}/pd/collapse.json") as fh:
+            print(sorted(key for key, fit in json.load(fh).items() if "delta_c" in fit))
 
         biorthogonal_eigendecomposition(build_hamiltonian(ModelParams(-0.5, 0.1, 8)))
         print([m for m in watched if m in sys.modules])
     """)
     assert lines == ["import 0 []", "simulate 0 []", "simulate 0 []", "export 0 []",
-                     "verify 0 []", "False", "['scipy.linalg']"]
+                     "verify 0 []", "phase-diagram 0 []", "collapse 0 []", "spectral 0 []",
+                     "False", "['-0.3', '-0.5']", "['scipy.linalg']"]

@@ -314,8 +314,124 @@ def test_fit_collapse_deterministic():
 
 def test_fit_collapse_rejects_init_outside_bounds():
     data = synthetic_collapse(0.15, 1.9, 2.0)
-    with pytest.raises(ValueError, match="bounds"):
-        fit_collapse(data, init=(0.15, 10.0, 2.0))
+    for init in ((0.15, 10.0, 2.0), (float("nan"), 1.9, 2.0)):
+        with pytest.raises(ValueError, match="outside bounds"):
+            fit_collapse(data, init=init)
+
+
+def test_fit_collapse_rejects_bounds_without_room():
+    data = synthetic_collapse(0.15, 1.9, 2.0)
+    for nu_bounds in ((1.9, 1.9), (2.5, 1.5)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            fit_collapse(data, bounds=((0.005, 1.0), nu_bounds, (0.5, 4.0)), bootstrap_n=0)
+
+
+def scipy_nelder_mead(func, x0, lo, hi, maxiter):
+    """scipy's bounded Nelder-Mead at fit_collapse's tolerances: the reference path."""
+    from scipy.optimize import minimize  # the package itself never loads it
+
+    res = minimize(func, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-14})
+    return res.x.tolist(), res.fun, res.success
+
+
+def assert_same_simplex_path(func, x0, lo, hi, maxiter):
+    ours = scaling._nelder_mead(func, np.asarray(x0, dtype=float), lo, hi, maxiter)
+    assert (ours.x.tolist(), ours.fun, ours.success) == scipy_nelder_mead(func, x0, lo, hi,
+                                                                          maxiter)
+    return ours
+
+
+DEFAULT_LO = np.array([b[0] for b in scaling.DEFAULT_BOUNDS])
+DEFAULT_HI = np.array([b[1] for b in scaling.DEFAULT_BOUNDS])
+
+
+def test_nelder_mead_follows_scipy_on_every_start_of_a_fit(monkeypatch):
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(8))
+    runs = []
+    simplex = scaling._nelder_mead
+
+    def recorded(func, x0, lo, hi, maxiter):
+        runs.append((func, x0.copy(), lo, hi, maxiter))
+        return simplex(func, x0, lo, hi, maxiter)
+
+    monkeypatch.setattr(scaling, "_nelder_mead", recorded)
+    fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=0, seed=5)
+    monkeypatch.undo()  # the replays below run the real simplex
+    assert [r[4] for r in runs] == [2000] * 9
+    for run in runs:
+        assert assert_same_simplex_path(*run).success
+
+
+def test_nelder_mead_follows_scipy_on_a_bootstrap_resample():
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(0))
+    idx = np.random.default_rng(3).integers(0, len(data), size=len(data))
+    assert len(np.unique(idx)) < len(data)
+    resampled = ScalingDataset(data.sizes[idx], data.deltas[idx], data.values[idx],
+                               data.weights[idx])
+    assert_same_simplex_path(lambda p: scaling._normalized_quality(resampled, p),
+                             (0.15, 1.9, 2.0), DEFAULT_LO, DEFAULT_HI, 400)
+
+
+def test_nelder_mead_follows_scipy_at_bounds_and_when_cut_short():
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.05, rng=np.random.default_rng(1))
+
+    def objective(p):
+        return scaling._normalized_quality(data, p)
+
+    # nu and zeta start on their upper bound: the initial vertices step past it
+    # and are reflected back inside
+    assert_same_simplex_path(objective, (0.15, 4.0, 4.0), DEFAULT_LO, DEFAULT_HI, 2000)
+    # a zero coordinate steps by 0.00025, not 5%
+    assert_same_simplex_path(objective, (0.0, 1.9, 2.0), np.array([-0.2, 0.5, 0.5]),
+                             DEFAULT_HI, 2000)
+    cut = assert_same_simplex_path(objective, (0.12, 1.5, 1.6), DEFAULT_LO, DEFAULT_HI, 5)
+    assert not cut.success
+
+
+def test_nelder_mead_follows_scipy_where_the_collapse_is_undefined():
+    # two sizes whose rescaled x ranges overlap only for small delta_c and nu:
+    # elsewhere collapse_quality raises and the objective returns 1e12
+    data = ScalingDataset.from_points(
+        [(32, d, 1.0 + d) for d in (0.3, 0.35, 0.4, 0.45, 0.5)]
+        + [(64, d, 1.2 + d) for d in (0.05, 0.1, 0.15, 0.2)])
+    for x0, all_undefined in (((0.1, 1.0, 1.0), False), ((0.15, 1.5, 1.0), True)):
+        values = []
+
+        def objective(p):
+            values.append(scaling._normalized_quality(data, p))
+            return values[-1]
+
+        scaling._nelder_mead(objective, np.array(x0), DEFAULT_LO, DEFAULT_HI, 2000)
+        n_undefined = values.count(1e12)
+        if all_undefined:  # every value ties, so the vertex order is argsort's tie order
+            assert n_undefined == len(values)
+        else:
+            assert 0 < n_undefined < len(values)
+        assert_same_simplex_path(objective, x0, DEFAULT_LO, DEFAULT_HI, 2000)
+
+
+def test_nelder_mead_follows_scipy_on_staircase_objectives():
+    # piecewise-constant values tie at every kind of comparison the simplex makes
+    staircases = (lambda p: float(np.floor(4 * np.sum((p - 1.0) ** 2))),
+                  lambda p: float(np.round(np.sum((p - 1.3) ** 2), 1)))
+    for objective in staircases:
+        for x0 in ((0.5, 2.0, 3.0), (0.9, 3.5, 0.6), (0.15, 1.9, 2.0)):
+            assert_same_simplex_path(objective, x0, DEFAULT_LO, DEFAULT_HI, 2000)
+
+
+def test_rescaled_is_read_only_and_reused_only_for_the_same_parameter_objects():
+    data = ScalingDataset.from_points([(16, -0.0, 1.0), (32, 0.1, 2.0)])
+    delta_c, nu, zeta = 0.0, 1.5, 1.0
+    x, y = data.rescaled(delta_c, nu, zeta)
+    again = data.rescaled(delta_c, nu, zeta)
+    assert again[0] is x and again[1] is y
+    with pytest.raises(ValueError, match="read-only"):
+        y[0] = 0.0
+    # -0.0 == 0.0, but -0.0 - 0.0 and -0.0 - (-0.0) differ in sign
+    x_neg, _ = data.rescaled(-0.0, nu, zeta)
+    assert np.signbit(x[0]) and not np.signbit(x_neg[0])
 
 
 def test_fit_collapse_dataset_invariants():
