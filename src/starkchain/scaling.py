@@ -31,49 +31,99 @@ class LogProfileFit(NamedTuple):
 
 
 class _CollapseLayout(NamedTuple):
-    """The parameter-independent part of collapse_quality for one dataset."""
+    """The parameter-independent part of the collapse objective for a stack of
+    rows, each a dataset, that share their point count n and size count m.
+
+    Indices are flat: row r holds points r n ... r n + n - 1, in the order of
+    its dataset, and estimates r n (m - 1) ... (r + 1) n (m - 1) - 1.  Each
+    (point, other size) estimate is a query, scored against the other size's
+    places (its points' indices once the stack is sorted by row, size and x).
+    """
 
     n_sizes: int
-    group: np.ndarray         # size index of each point
-    edges: np.ndarray         # size s holds sorted places edges[s]:edges[s + 1]
-    widths: tuple             # (k, ((places, rows), ...), queries, their slots)
-    wsum: float
+    columns: tuple            # float sizes, deltas, values, weights, each (rows, n)
+    key: np.ndarray           # row * m + size index of each point: the sort's first key
+    pairs: np.ndarray         # (4, rows, size pairs): places of lo_a, hi_b, lo_b, hi_a
+    blocks: dict              # (k, point count) -> (places, queries, slots), one query a row
+    widths: tuple             # per width k, the blocks flattened: see _widths
+    wsum: np.ndarray          # each row's weight sum
+
+
+def _widths(blocks: dict) -> tuple:
+    """Flatten the blocks of each width k into one distance gather.
+
+    Per width: the places of every query row end to end, the point each
+    place is measured from, the cuts (start, stop, count) that give each
+    block's distance matrix (one argpartition per block), and each query's
+    first place, point and estimate slot, in block order.
+    """
+    by_width = {}
+    for (k, _), block in blocks.items():
+        by_width.setdefault(k, []).append(block)
+    widths = []
+    for k, parts in by_width.items():
+        places, queries, slots = zip(*parts)
+        stops = np.cumsum([p.size for p in places]).tolist()
+        widths.append((k, np.concatenate([p.ravel() for p in places]),
+                       np.concatenate([np.repeat(q, p.shape[1]) for p, q in zip(places, queries)]),
+                       tuple(zip([0] + stops, stops, [p.shape[1] for p in places])),
+                       np.concatenate([p[:, :1] for p in places]),
+                       np.concatenate(queries), np.concatenate(slots)))
+    return tuple(widths)
 
 
 def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
-    """Group each (point, other size) estimate by interpolation width k, and
-    within a width by the other size's point count.
+    """The layout of one dataset: a stack of one row.
 
-    One block per count: row r of its `places` matrix lists the sorted places
-    of the size that query r is scored against, so one selection covers every
-    size of that count.  `rows` is the block's slice of the width's queries.
+    One block per (width, point count): row r of its `places` matrix lists
+    the sorted places of the size that query r is scored against, so one
+    selection covers every size of that count.
     """
     unique_sizes = np.unique(data.sizes)
-    n_sizes = len(unique_sizes)
-    if n_sizes < 2:
+    m = len(unique_sizes)
+    if m < 2:
         raise CollapseError("collapse undefined for fewer than 2 sizes")
     group = np.searchsorted(unique_sizes, data.sizes)
-    counts = np.bincount(group, minlength=n_sizes)
+    counts = np.bincount(group, minlength=m)
     edges = np.concatenate(([0], np.cumsum(counts)))
-    by_width = {}  # k -> {point count -> [(others, places, slots) per size]}
-    for s in range(n_sizes):
+    blocks = {}  # (k, point count) -> [(places, others, slots) per size]
+    for s in range(m):
         count = int(counts[s])
         others = np.flatnonzero(group != s)
-        slots = others * (n_sizes - 1) + s - (group[others] < s)
+        slots = others * (m - 1) + s - (group[others] < s)
         places = np.tile(np.arange(edges[s], edges[s + 1]), (len(others), 1))
-        by_width.setdefault(min(neighbors, count), {}).setdefault(count, []).append(
-            (others, places, slots))
-    widths = []
-    for k, by_count in by_width.items():
-        blocks, start = [], 0
-        for parts in by_count.values():
-            places = np.concatenate([p[1] for p in parts])
-            blocks.append((places, slice(start, start + len(places))))
-            start += len(places)
-        parts = [p for same_count in by_count.values() for p in same_count]
-        widths.append((k, tuple(blocks), np.concatenate([p[0] for p in parts]),
-                       np.concatenate([p[2] for p in parts])))
-    return _CollapseLayout(n_sizes, group, edges, tuple(widths), np.cumsum(data.weights)[-1])
+        blocks.setdefault((min(neighbors, count), count), []).append((places, others, slots))
+    blocks = {kc: tuple(np.concatenate(a) for a in zip(*parts)) for kc, parts in blocks.items()}
+    a, b = np.triu_indices(m, 1)
+    lo, hi = edges[:-1], edges[1:] - 1
+    columns = tuple(c.reshape(1, -1) for c in
+                    (data._float_sizes, data.deltas, data.values, data.weights))
+    return _CollapseLayout(m, columns, group, np.stack((lo[a], hi[b], lo[b], hi[a]))[:, None],
+                           blocks, _widths(blocks), np.cumsum(data.weights)[-1:])
+
+
+def _stack(parts: list) -> _CollapseLayout:
+    """One layout for the rows of `parts`, in order; all share n and m."""
+    if len(parts) == 1:
+        return parts[0]
+    m = parts[0].n_sizes
+    n = parts[0].columns[0].shape[1]
+    rows = np.cumsum([0] + [len(p.wsum) for p in parts[:-1]]).tolist()  # before each part
+    blocks = {}
+    for part, row in zip(parts, rows):
+        for kc, (places, queries, slots) in part.blocks.items():
+            blocks.setdefault(kc, []).append(
+                (places + row * n, queries + row * n, slots + row * n * (m - 1)))
+    blocks = {kc: tuple(np.concatenate(a) for a in zip(*b)) for kc, b in blocks.items()}
+    return _CollapseLayout(
+        m, tuple(np.concatenate(c) for c in zip(*(p.columns for p in parts))),
+        np.concatenate([p.key + row * m for p, row in zip(parts, rows)]),
+        np.concatenate([p.pairs + row * n for p, row in zip(parts, rows)], axis=1),
+        blocks, _widths(blocks), np.concatenate([p.wsum for p in parts]))
+
+
+def _rescale(sizes, deltas, values, delta_c, nu, zeta):
+    return sizes ** (1.0 / nu) * (deltas - delta_c), values * sizes ** (-zeta / nu)
 
 
 @dataclass(frozen=True)
@@ -94,7 +144,6 @@ class ScalingDataset:
             array = np.array(getattr(self, name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_last_rescaled", None)
 
     @classmethod
     def from_points(cls, points: Sequence[tuple]) -> "ScalingDataset":
@@ -126,26 +175,19 @@ class ScalingDataset:
         return {}
 
     def rescaled(self, delta_c: float, nu: float, zeta: float):
-        """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu}).
-
-        The arrays are read-only.  The last call's pair is returned again when
-        called with the same three parameter objects, so the fit's objective
-        rescales once per evaluation.  Identity, not ==, decides: 0.0 == -0.0,
-        but the two give x of opposite sign where a delta is -0.0.
-        """
-        last = self._last_rescaled
-        if last is not None and last[0] is delta_c and last[1] is nu and last[2] is zeta:
-            return last[3], last[4]
-        sizes = self._float_sizes
-        x = sizes ** (1.0 / nu) * (self.deltas - delta_c)
-        y = self.values * sizes ** (-zeta / nu)
+        """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu}), read-only."""
+        x, y = _rescale(self._float_sizes, self.deltas, self.values, delta_c, nu, zeta)
         x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "_last_rescaled", (delta_c, nu, zeta, x, y))
         return x, y
 
     def require_fit_invariants(self):
-        """Collapse fitting needs >= 3 distinct sizes and >= 5 distinct deltas."""
+        """Collapse fitting needs finite data, >= 3 distinct sizes and >= 5 distinct deltas."""
+        for name in ("sizes", "deltas", "values", "weights"):
+            bad = np.count_nonzero(~np.isfinite(getattr(self, name)))
+            if bad:
+                raise CollapseError(f"collapse fit needs finite data, but {name} holds "
+                                    f"{bad} non-finite entr{'y' if bad == 1 else 'ies'}")
         n_l = len(np.unique(self.sizes))
         n_d = len(np.unique(self.deltas))
         if n_l < 3 or n_d < 5:
@@ -154,12 +196,24 @@ class ScalingDataset:
             )
 
 
+def _layout(data: ScalingDataset, neighbors: int) -> _CollapseLayout:
+    """The dataset's layout, built once per `neighbors` and cached on it."""
+    layout = data._layouts.get(neighbors)
+    if layout is None:
+        layout = data._layouts[neighbors] = _collapse_layout(data, neighbors)
+    return layout
+
+
 def power_law_fit(sizes: Sequence[int], values: Sequence[float]) -> PowerLawFit:
     """Least-squares slope of ln(value) against ln(size), with its std error."""
     L = np.asarray(sizes, dtype=float)
     S = np.asarray(values, dtype=float)
     if len(L) < 3:
         raise ValueError(f"power-law fit needs >= 3 points, got {len(L)}")
+    if not np.all(np.isfinite(L) & (L > 0)):
+        raise ValueError("power-law fit needs finite positive sizes")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("power-law fit needs finite values")
     if np.any(S <= 0):
         raise ValueError("power-law fit needs positive values (log undefined)")
     x = np.log(L)
@@ -186,11 +240,10 @@ def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
         raise ValueError("array of sample points is empty")
     if k == 1:
         return fp[:, 0].copy()
-    rows = np.arange(n_rows)
     j = np.add.reduce(xp <= q[:, None], axis=1) - 1  # last j with xp[j] <= q
-    jc = np.minimum(np.maximum(j, 0), k - 2)
-    x0, x1 = xp[rows, jc], xp[rows, jc + 1]
-    f0, f1 = fp[rows, jc], fp[rows, jc + 1]
+    i0 = np.minimum(np.maximum(j, 0), k - 2)
+    i0 += np.arange(0, n_rows * k, k)  # flat place of each row's x0
+    x0, x1, f0, f1 = xp.take(i0), xp.take(i0 + 1), fp.take(i0), fp.take(i0 + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = (f1 - f0) / (x1 - x0)
         out = slope * (q - x0) + f0
@@ -200,9 +253,11 @@ def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
             again = slope * (q - x1) + f1
             again = np.where(np.isnan(again) & (f0 == f1), f0, again)
             out = np.where(retry, again, out)
-    out = np.where(x0 == q, f0, out)
-    out = np.where(j < 0, fp[:, 0], np.where(j == k - 1, fp[:, k - 1], out))
-    return np.where(np.isnan(q), q, out)
+    # the grid value where q hits x0, and the end values outside the grid
+    np.copyto(out, f0, where=(x0 == q) | (j < 0))
+    np.copyto(out, f1, where=j == k - 1)
+    np.copyto(out, q, where=np.isnan(q))
+    return out
 
 
 def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: float,
@@ -221,45 +276,61 @@ def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: floa
     estimates (sizes in ascending order), and the squares are summed in point
     order.  Zero for a perfect collapse where sizes share x grid points.
 
-    What depends only on the dataset and `neighbors` (size groups, and each
-    other size's candidate places, grouped by point count) is built once and
-    cached on the dataset.
+    This is the stack of one of _stack_quality.  What depends only on the
+    dataset and `neighbors` (size groups, and each other size's candidate
+    places, grouped by point count) is built once and cached on the dataset.
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    x, y = data.rescaled(delta_c, nu, zeta)
-    layout = data._layouts.get(neighbors)
-    if layout is None:
-        layout = data._layouts[neighbors] = _collapse_layout(data, neighbors)
-    edges = layout.edges
-
-    # points sorted by (size, x); lexsort is stable, like a per-size stable argsort
-    order = np.lexsort((x, layout.group))
-    x_sorted, y_sorted = x[order], y[order]
-    lo, hi = x_sorted[edges[:-1]].tolist(), x_sorted[edges[1:] - 1].tolist()
-    if not any(lo[a] <= hi[b] and lo[b] <= hi[a]
-               for a in range(layout.n_sizes) for b in range(a + 1, layout.n_sizes)):
+    layout = _layout(data, neighbors)
+    quality, _, overlap = _stack_quality(layout, np.array([[delta_c, nu, zeta]], dtype=float))
+    if not overlap[0]:
         raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
+    if layout.wsum[0] == 0:
+        raise CollapseError("no point could be scored against another size")
+    return quality[0]
+
+
+def _stack_quality(layout: _CollapseLayout, points: np.ndarray):
+    """collapse_quality of every row of a stack at its own (delta_c, nu, zeta).
+
+    Returns each row's quality, the variance of its rescaled y, and whether
+    two of its sizes overlap in rescaled x.  Each row gets the bits that a
+    call on its dataset alone gets: the rows share one sort, one selection
+    per (width, point count) and one interpolation, but no value crosses
+    rows.  A row without overlap or weight gets a meaningless quality.
+    """
+    sizes, deltas, values, weights = layout.columns
+    rows, n = sizes.shape
+    m = layout.n_sizes
+    delta_c, nu, zeta = points.T[:, :, None]
+    x, y = _rescale(sizes, deltas, values, delta_c, nu, zeta)
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+
+    # points sorted by (row, size, x); lexsort is stable, like a per-size stable argsort
+    order = np.lexsort((flat_x, layout.key))
+    x_sorted, y_sorted = flat_x[order], flat_y[order]
+    lo_a, hi_b, lo_b, hi_a = x_sorted[layout.pairs]
+    overlap = np.logical_or.reduce((lo_a <= hi_b) & (lo_b <= hi_a), axis=1)
 
     # one estimate per (point, other size), filled in ascending size order
-    estimates = np.empty((len(data), layout.n_sizes - 1))
+    estimates = np.empty((rows, n, m - 1))
     flat = estimates.reshape(-1)
-    for k, blocks, queries, slots in layout.widths:
-        q = x[queries]
-        chosen = []
-        for places, rows in blocks:
-            near = np.abs(x_sorted[places] - q[rows, None]).argpartition(k - 1, axis=1)[:, :k]
-            near.sort(axis=1)
-            near += places[:, :1]  # each row's places are consecutive
-            chosen.append(near)
-        chosen = np.concatenate(chosen)
-        flat[slots] = _interp_rows(q, x_sorted[chosen], y_sorted[chosen])
+    for k, places, owners, cuts, first, queries, slots in layout.widths:
+        dist = np.abs(x_sorted[places] - flat_x[owners])
+        near = np.concatenate([dist[a:b].reshape(-1, count).argpartition(k - 1, axis=1)[:, :k]
+                               for a, b, count in cuts])
+        near.sort(axis=1)
+        near += first  # each query's places are consecutive
+        flat[slots] = _interp_rows(flat_x[queries], x_sorted[near], y_sorted[near])
     # np.mean's sum-then-divide, without its wrapper
-    r = y - np.add.reduce(estimates, axis=1) / (layout.n_sizes - 1)
+    r = y - np.add.reduce(estimates, axis=2) / (m - 1)
     # running sums keep the point-by-point summation order
-    if layout.wsum == 0:
-        raise CollapseError("no point could be scored against another size")
-    return np.cumsum(data.weights * r * r)[-1] / layout.wsum
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without weight
+        quality = np.cumsum(weights * r * r, axis=1)[:, -1] / layout.wsum
+    # np.var(y): the same two pairwise sums per row, without its wrapper
+    d = y - (np.add.reduce(y, axis=1) / n)[:, None]
+    return quality, np.add.reduce(d * d, axis=1) / n, overlap
 
 
 @dataclass(frozen=True)
@@ -294,20 +365,44 @@ DEFAULT_INIT = (0.15, 1.9, 2.0)
 DEFAULT_BOUNDS = ((0.005, 1.0), (0.5, 4.0), (0.5, 4.0))
 
 
-def _normalized_quality(data: ScalingDataset, p) -> float:
-    # The absolute quality is degenerate along zeta/nu (rescaling all y toward
-    # zero shrinks it for free), so the optimizer scores residuals relative to
-    # the spread of the rescaled y values.
-    delta_c, nu, zeta = p.tolist()
-    try:
-        q = collapse_quality(data, delta_c, nu, zeta)
-    except CollapseError:
-        return 1e12
-    _, y = data.rescaled(delta_c, nu, zeta)  # the pair collapse_quality just made
-    # np.var(y): the same two pairwise sums, without its wrapper
-    d = y - np.add.reduce(y) / len(y)
-    var = float(np.add.reduce(d * d) / len(y))
-    return q / var if var > 0 else q
+class _Batch(NamedTuple):
+    """The rows of one objective call: each row's dataset, and the stacks
+    (layout, row indices) that hold the rows of one point and size count."""
+
+    datasets: list
+    stacks: list
+
+
+def _batch(datasets: list, neighbors: int = 3) -> _Batch:
+    """Stack the rows' datasets, one stack per (point count, size count)."""
+    by_shape = {}
+    for row, data in enumerate(datasets):
+        layout = _layout(data, neighbors)
+        parts, rows = by_shape.setdefault((len(data), layout.n_sizes), ([], []))
+        parts.append(layout)
+        rows.append(row)
+    return _Batch(datasets, [(_stack(parts), np.array(rows))
+                             for parts, rows in by_shape.values()])
+
+
+def _normalized_quality(batch: _Batch, points: np.ndarray) -> np.ndarray:
+    """The fit's objective for each row: its collapse quality over the
+    variance of its rescaled y, or 1e12 where its collapse is undefined.
+
+    The absolute quality is degenerate along zeta/nu (rescaling all y toward
+    zero shrinks it for free), so the optimizer scores residuals relative to
+    the spread of the rescaled y values.  A zero (or NaN) variance leaves
+    the quality as it is.
+    """
+    nu = points[:, 1]
+    if (nu <= 0).any():
+        raise ValueError(f"nu must be > 0, got {nu[nu <= 0][0]}")
+    values = np.empty(len(points))
+    for layout, rows in batch.stacks:
+        quality, var, overlap = _stack_quality(layout, points[rows])
+        np.divide(quality, var, out=quality, where=var > 0)
+        values[rows] = np.where(overlap & (layout.wsum != 0), quality, 1e12)
+    return values
 
 
 class _SimplexResult(NamedTuple):
@@ -316,8 +411,11 @@ class _SimplexResult(NamedTuple):
     success: bool
 
 
-def _nelder_mead(func, x0, lo, hi, maxiter: int) -> _SimplexResult:
-    """Minimize func over the box [lo, hi] with the Nelder-Mead simplex.
+def _nelder_mead(x0, lo, hi, maxiter: int):
+    """Minimize over the box [lo, hi] with the Nelder-Mead simplex.
+
+    A generator: it yields each trial point, is sent that point's value, and
+    returns a _SimplexResult (see _lockstep, which drives it).
 
     Nelder & Mead, Comput. J. 7, 308 (1965), with reflection 1, expansion 2,
     contraction and shrink 1/2.  This is the path of scipy's minimize(...,
@@ -336,45 +434,73 @@ def _nelder_mead(func, x0, lo, hi, maxiter: int) -> _SimplexResult:
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.array([func(v) for v in sim], dtype=float)
+    sim = np.where(sim > hi, 2 * hi - sim, sim).clip(lo, hi)
+    fsim = np.empty(n + 1)
+    for j in range(n + 1):
+        fsim[j] = yield sim[j]
     for _ in range(2):
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-7
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-7
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-14):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip(2 * xbar - sim[-1], lo, hi)
-        fxr = func(xr)
+        xr = (2 * xbar - sim[-1]).clip(lo, hi)
+        fxr = yield xr
         if fxr < fsim[0]:
-            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-            fxe = func(xe)
+            xe = (3 * xbar - 2 * sim[-1]).clip(lo, hi)
+            fxe = yield xe
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                fxc = func(xc)
+                xc = (1.5 * xbar - 0.5 * sim[-1]).clip(lo, hi)
+                fxc = yield xc
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                fxc = func(xc)
+                xc = (0.5 * xbar + 0.5 * sim[-1]).clip(lo, hi)
+                fxc = yield xc
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
                 for j in range(1, n + 1):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                    fsim[j] = func(sim[j])
+                    sim[j] = (sim[0] + 0.5 * (sim[j] - sim[0])).clip(lo, hi)
+                    fsim[j] = yield sim[j]
         iterations += 1
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
-    return _SimplexResult(sim[0], np.min(fsim), iterations < maxiter)
+    return _SimplexResult(sim[0], fsim.min(), iterations < maxiter)
+
+
+def _lockstep(runs: list) -> list:
+    """Drive (dataset, _nelder_mead generator) runs to their results, together.
+
+    Each tick scores the pending point of every live run in one call of
+    _normalized_quality; a run leaves the stack when its simplex stops.  No
+    run sees another, so each takes the path it takes alone.
+    """
+    points = [next(simplex) for _, simplex in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    batch = None
+    while live:
+        if batch is None or len(batch.datasets) != len(live):
+            batch = _batch([runs[i][0] for i in live])
+        values = _normalized_quality(batch, np.array([points[i] for i in live])).tolist()
+        still = []
+        for i, value in zip(live, values):
+            try:
+                points[i] = runs[i][1].send(value)
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = still
+    return results
 
 
 def fit_collapse(
@@ -389,14 +515,17 @@ def fit_collapse(
     Runs the Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308 (1965);
     see _nelder_mead) from `init` and 8 deterministically perturbed copies,
     keeps the best minimum, and estimates parameter errors by refitting
-    `bootstrap_n` resamples of the points (seeded).  The optimizer scores the
-    variance-normalized residual (see _normalized_quality); the reported
-    quality is the plain collapse_quality at the fitted parameters.
+    `bootstrap_n` resamples of the points (seeded).  The starts, and then
+    the refits, run in lockstep on one stacked objective call per step (see
+    _lockstep); each run takes the path it takes alone.  The optimizer
+    scores the variance-normalized residual (see _normalized_quality); the
+    reported quality is the plain collapse_quality at the fitted parameters.
 
-    Each (lo, hi) pair of `bounds` needs lo < hi, and `init` must lie inside.
-    Every point the simplex tries is clipped into the bounds, and an initial
-    vertex stepped past an upper bound is first reflected back below it; a
-    result pinned at a bound sets the clipped flag.
+    The data must be finite.  Each (lo, hi) pair of `bounds` needs lo < hi,
+    and `init` must lie inside.  Every point the simplex tries is clipped
+    into the bounds, and an initial vertex stepped past an upper bound is
+    first reflected back below it; a result pinned at a bound sets the
+    clipped flag.
     """
     data.require_fit_invariants()
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -412,35 +541,25 @@ def fit_collapse(
     for _ in range(8):
         trial = x0 * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, size=3))
         starts.append(np.clip(trial, lo, hi))
-
-    best = None
-    for s in starts:
-        res = _nelder_mead(lambda p: _normalized_quality(data, p), s, lo, hi, maxiter=2000)
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
+    # the first of equal minima, as a strict < over the starts in order
+    best = min(_lockstep([(data, _nelder_mead(s, lo, hi, 2000)) for s in starts]),
+               key=lambda res: res.fun)
     params = np.clip(best.x, lo, hi)
     quality = collapse_quality(data, params[0], params[1], params[2])
     clipped = bool(np.any(np.isclose(params, lo, rtol=0, atol=1e-9))
                    or np.any(np.isclose(params, hi, rtol=0, atol=1e-9)))
 
     n = len(data)
-    samples = []
+    resamples = []
     for _ in range(bootstrap_n):
-        resampled = None
         for _attempt in range(100):
             idx = rng.integers(0, n, size=n)
-            candidate = ScalingDataset(
-                data.sizes[idx], data.deltas[idx], data.values[idx], data.weights[idx]
-            )
-            if len(np.unique(candidate.sizes)) >= 2:
-                resampled = candidate
+            if len(np.unique(data.sizes[idx])) >= 2:
+                resamples.append(ScalingDataset(data.sizes[idx], data.deltas[idx],
+                                                data.values[idx], data.weights[idx]))
                 break
-        if resampled is None:
-            continue
-        res = _nelder_mead(lambda p: _normalized_quality(resampled, p), params, lo, hi,
-                           maxiter=400)
-        samples.append(np.clip(res.x, lo, hi))
+    refits = _lockstep([(r, _nelder_mead(params, lo, hi, 400)) for r in resamples])
+    samples = [np.clip(res.x, lo, hi) for res in refits]
     if len(samples) >= 2:
         errors = tuple(float(e) for e in np.std(np.asarray(samples), axis=0, ddof=1))
     else:

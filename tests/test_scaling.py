@@ -58,6 +58,12 @@ def test_power_law_input_contracts():
         power_law_fit([16, 32], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         power_law_fit([16, 32, 64], [1.0, -2.0, 3.0])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite values"):
+            power_law_fit([32, 64, 96], [1.0, bad, 2.0])
+    for sizes in ([32, float("nan"), 96], [32, float("inf"), 96], [0, 64, 96], [-32, 64, 96]):
+        with pytest.raises(ValueError, match="finite positive sizes"):
+            power_law_fit(sizes, [1.0, 1.5, 2.0])
 
 
 def test_collapse_quality_zero_at_truth():
@@ -176,10 +182,12 @@ def test_collapse_quality_matches_loop_on_edge_layouts():
 def selection_blocks(data, neighbors):
     """Per width, the point count and the size indices of each selection block."""
     layout = scaling._collapse_layout(data, neighbors)
-    return {k: [(places.shape[1],
-                 np.unique(np.searchsorted(layout.edges, places[:, 0], "right") - 1).tolist())
-                for places, _ in blocks]
-            for k, blocks, _, _ in layout.widths}
+    ends = np.cumsum(np.unique(data.sizes, return_counts=True)[1])
+    blocks = {}
+    for (k, count), (places, _, _) in layout.blocks.items():
+        sizes = np.unique(np.searchsorted(ends, places[:, 0], "right")).tolist()
+        blocks.setdefault(k, []).append((count, sizes))
+    return blocks
 
 
 def extreme_and_random_params(rng, n):
@@ -244,22 +252,136 @@ def test_collapse_quality_errors_match_loop():
         CollapseError, "no point could be scored against another size")
 
 
+def loop_objective(data, p, neighbors=3):
+    """The fit's objective at one point, from the loop kernel: the collapse
+    quality over np.var of the rescaled y, or 1e12 where it is undefined."""
+    delta_c, nu, zeta = p.tolist()
+    try:
+        q = loop_collapse_quality(data, delta_c, nu, zeta, neighbors=neighbors)
+    except CollapseError:
+        return 1e12
+    var = np.var(data.values * data.sizes.astype(float) ** (-zeta / nu))
+    return q / var if var > 0 else q
+
+
+def assert_stack_matches_loop(datasets, points, neighbors=3):
+    """The stacked objective against the loop kernel, row by row, bit for bit."""
+    got = scaling._normalized_quality(scaling._batch(datasets, neighbors), points)
+    want = np.array([loop_objective(d, p, neighbors) for d, p in zip(datasets, points)])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return got
+
+
+def random_points(rng, rows, delta_c=(0.0, 0.3)):
+    return np.column_stack([rng.uniform(*delta_c, rows), rng.uniform(0.5, 4.0, rows),
+                            rng.uniform(0.5, 4.0, rows)])
+
+
+def test_stacked_objective_matches_loop_on_one_dataset_repeated():
+    rng = np.random.default_rng(14)
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=rng)
+    corners = np.array(extreme_and_random_params(rng, 0))
+    for neighbors in (1, 2, 3, 5):
+        for rows in (1, 9, 40):
+            points = np.concatenate([corners, random_points(rng, rows)])
+            assert_stack_matches_loop([data] * len(points), points, neighbors)
+
+
+def test_stacked_objective_matches_loop_on_bootstrap_resamples():
+    # duplicate points, and sizes whose point counts differ from row to row;
+    # some resamples of `mixed` lose its 2-point size, so the batch holds two
+    # stacks (4 and 5 sizes) whose rows interleave
+    rng = np.random.default_rng(41)
+    mixed = ScalingDataset.from_points(
+        [(L, d, 1.0 + rng.uniform()) for L, c in {16: 2, 32: 4, 48: 4, 64: 7, 96: 9}.items()
+         for d in rng.uniform(0.0, 0.3, size=c)])
+    planted = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=rng)
+    for base in (mixed, planted):
+        n = len(base)
+        datasets = [resample(base, rng.integers(0, n, size=n)) for _ in range(30)]
+        assert all(len(np.unique(d.sizes)) < n for d in datasets)  # rows repeat
+        n_sizes = [len(np.unique(d.sizes)) for d in datasets]
+        if base is mixed:
+            assert sorted(set(n_sizes)) == [4, 5]
+            assert len(scaling._batch(datasets).stacks) == 2
+        for neighbors in (1, 2, 3, 5):
+            assert_stack_matches_loop(datasets, random_points(rng, len(datasets)), neighbors)
+
+
+def test_stacked_objective_scores_undefined_rows_alone():
+    # two sizes whose rescaled x ranges overlap only for small delta_c and nu,
+    # stacked with the same points at zero weight and a planted set at 2 sizes
+    near = ScalingDataset.from_points(
+        [(32, d, 1.0 + d) for d in (0.3, 0.35, 0.4, 0.45, 0.5)]
+        + [(64, d, 1.2 + d) for d in (0.05, 0.1, 0.15, 0.2)])
+    weightless = ScalingDataset(near.sizes, near.deltas, near.values, np.zeros(len(near)))
+    two_sizes = synthetic_collapse(0.15, 1.9, 2.0, sizes=(32, 64), x_grid=np.linspace(-1, 1, 9))
+    flat = ScalingDataset(two_sizes.sizes, two_sizes.deltas, np.zeros(len(two_sizes)),
+                          two_sizes.weights)  # zero variance: the quality stays as it is
+    rng = np.random.default_rng(12)
+    datasets = [near, weightless, two_sizes, flat] * 20
+    points = random_points(rng, len(datasets), delta_c=(0.005, 0.2))
+    values = assert_stack_matches_loop(datasets, points)
+    near_values = values[0::4]
+    assert 0 < np.count_nonzero(near_values == 1e12) < len(near_values)
+    assert np.all(values[1::4] == 1e12)
+    assert not np.any(values[2::4] == 1e12)
+    assert np.all(values[3::4] == 0.0)
+
+
+def test_interp_rows_matches_np_interp_branch_for_branch():
+    # sorted rows from a small grid: repeated x, queries on grid points and
+    # beyond both ends, equal and unequal values at a repeated x, infinities
+    rng = np.random.default_rng(9)
+    for k in (1, 2, 3, 5):
+        xp = np.sort(rng.choice([-np.inf, 0.0, 1.0, 1.0, 2.0, 3.0, np.inf], size=(400, k)), axis=1)
+        fp = rng.choice([0.0, 1.0, 2.5, -1.0, np.inf], size=(400, k))
+        q = rng.choice([-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, np.inf, np.nan], size=400)
+        with np.errstate(invalid="ignore"):
+            got = scaling._interp_rows(q, xp, fp)
+            want = np.array([np.interp(a, b, c) for a, b, c in zip(q, xp, fp)])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), k
+
+
+def test_fit_collapse_redraws_resamples_with_one_size():
+    # 8 of 10 points share a size, so about one draw in nine has a single
+    # size; such a draw is redrawn, never refitted
+    data = ScalingDataset.from_points(
+        [(32, d, 1.0 + d) for d in np.linspace(0.0, 0.35, 8)] + [(64, 0.1, 1.3), (96, 0.2, 1.5)])
+    fit = fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=30, seed=1)
+    assert np.all(np.isfinite(fit.errors))
+
+
 def test_fit_collapse_identical_with_loop_kernel(monkeypatch):
     # the benchmark's refit data: 2% noise from a fixed seed
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(0))
+    stacked, together = scaling._normalized_quality, scaling._lockstep
 
-    def fit_with(kernel):
-        calls = []
+    def loop(batch, points):
+        return np.array([loop_objective(d, p) for d, p in zip(batch.datasets, points)])
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return kernel(*args, **kwargs)
+    def alone(runs):
+        return [res for run in runs for res in together([run])]
 
-        monkeypatch.setattr(scaling, "collapse_quality", counted)
+    def fit_with(objective, lockstep):
+        rows = []  # every evaluated (dataset, point, value)
+
+        def recorded(batch, points):
+            values = objective(batch, points)
+            rows.extend((d.values.tobytes(), p.tobytes(), v.tobytes())
+                        for d, p, v in zip(batch.datasets, points, values))
+            return values
+
+        monkeypatch.setattr(scaling, "_normalized_quality", recorded)
+        monkeypatch.setattr(scaling, "_lockstep", lockstep)
         fit = fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=2, seed=0)
-        return fit.as_dict(), len(calls)
+        return fit.as_dict(), len(rows), sorted(rows)
 
-    assert fit_with(loop_collapse_quality) == fit_with(collapse_quality)
+    reference = fit_with(loop, alone)
+    assert reference[1] > 2000
+    assert fit_with(stacked, together) == reference
+    assert fit_with(stacked, alone) == reference
 
 
 def test_fit_collapse_builds_each_layout_once(monkeypatch):
@@ -336,8 +458,25 @@ def scipy_nelder_mead(func, x0, lo, hi, maxiter):
     return res.x.tolist(), res.fun, res.success
 
 
+def run_simplex(func, x0, lo, hi, maxiter):
+    """One simplex run, driven point by point with a scalar objective."""
+    simplex = scaling._nelder_mead(np.asarray(x0, dtype=float), lo, hi, maxiter)
+    try:
+        point = next(simplex)
+        while True:
+            point = simplex.send(func(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def objective(data):
+    """The fit's objective on one dataset, one point at a time."""
+    batch = scaling._batch([data])
+    return lambda p: scaling._normalized_quality(batch, p[None])[0]
+
+
 def assert_same_simplex_path(func, x0, lo, hi, maxiter):
-    ours = scaling._nelder_mead(func, np.asarray(x0, dtype=float), lo, hi, maxiter)
+    ours = run_simplex(func, x0, lo, hi, maxiter)
     assert (ours.x.tolist(), ours.fun, ours.success) == scipy_nelder_mead(func, x0, lo, hi,
                                                                           maxiter)
     return ours
@@ -347,46 +486,55 @@ DEFAULT_LO = np.array([b[0] for b in scaling.DEFAULT_BOUNDS])
 DEFAULT_HI = np.array([b[1] for b in scaling.DEFAULT_BOUNDS])
 
 
+def recorded_runs(monkeypatch, data, **kwargs):
+    """(dataset, start, lo, hi, maxiter) of every simplex run of one fit, in order."""
+    starts, datasets = [], []
+    simplex, lockstep = scaling._nelder_mead, scaling._lockstep
+
+    def record_start(x0, lo, hi, maxiter):
+        starts.append((x0.copy(), lo, hi, maxiter))
+        return simplex(x0, lo, hi, maxiter)
+
+    def record_datasets(runs):
+        datasets.extend(d for d, _ in runs)
+        return lockstep(runs)
+
+    monkeypatch.setattr(scaling, "_nelder_mead", record_start)
+    monkeypatch.setattr(scaling, "_lockstep", record_datasets)
+    fit_collapse(data, init=(0.12, 1.5, 1.6), **kwargs)
+    monkeypatch.undo()  # the replays run the real simplex
+    assert len(datasets) == len(starts)
+    return [(d, *start) for d, start in zip(datasets, starts)]
+
+
 def test_nelder_mead_follows_scipy_on_every_start_of_a_fit(monkeypatch):
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(8))
-    runs = []
-    simplex = scaling._nelder_mead
-
-    def recorded(func, x0, lo, hi, maxiter):
-        runs.append((func, x0.copy(), lo, hi, maxiter))
-        return simplex(func, x0, lo, hi, maxiter)
-
-    monkeypatch.setattr(scaling, "_nelder_mead", recorded)
-    fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=0, seed=5)
-    monkeypatch.undo()  # the replays below run the real simplex
-    assert [r[4] for r in runs] == [2000] * 9
-    for run in runs:
-        assert assert_same_simplex_path(*run).success
+    runs = recorded_runs(monkeypatch, data, bootstrap_n=0, seed=5)
+    assert [r[4] for r in runs] == [2000] * 9 and all(r[0] is data for r in runs)
+    for dataset, *run in runs:
+        assert assert_same_simplex_path(objective(dataset), *run).success
 
 
-def test_nelder_mead_follows_scipy_on_a_bootstrap_resample():
+def test_nelder_mead_follows_scipy_on_a_bootstrap_resample(monkeypatch):
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(0))
-    idx = np.random.default_rng(3).integers(0, len(data), size=len(data))
-    assert len(np.unique(idx)) < len(data)
-    resampled = ScalingDataset(data.sizes[idx], data.deltas[idx], data.values[idx],
-                               data.weights[idx])
-    assert_same_simplex_path(lambda p: scaling._normalized_quality(resampled, p),
-                             (0.15, 1.9, 2.0), DEFAULT_LO, DEFAULT_HI, 400)
+    refits = recorded_runs(monkeypatch, data, bootstrap_n=2, seed=0)[9:]
+    assert [r[4] for r in refits] == [400] * 2
+    for dataset, *run in refits:
+        assert len(np.unique(dataset.deltas)) < len(data)  # rows repeat
+        assert_same_simplex_path(objective(dataset), *run)
 
 
 def test_nelder_mead_follows_scipy_at_bounds_and_when_cut_short():
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.05, rng=np.random.default_rng(1))
 
-    def objective(p):
-        return scaling._normalized_quality(data, p)
-
+    func = objective(data)
     # nu and zeta start on their upper bound: the initial vertices step past it
     # and are reflected back inside
-    assert_same_simplex_path(objective, (0.15, 4.0, 4.0), DEFAULT_LO, DEFAULT_HI, 2000)
+    assert_same_simplex_path(func, (0.15, 4.0, 4.0), DEFAULT_LO, DEFAULT_HI, 2000)
     # a zero coordinate steps by 0.00025, not 5%
-    assert_same_simplex_path(objective, (0.0, 1.9, 2.0), np.array([-0.2, 0.5, 0.5]),
+    assert_same_simplex_path(func, (0.0, 1.9, 2.0), np.array([-0.2, 0.5, 0.5]),
                              DEFAULT_HI, 2000)
-    cut = assert_same_simplex_path(objective, (0.12, 1.5, 1.6), DEFAULT_LO, DEFAULT_HI, 5)
+    cut = assert_same_simplex_path(func, (0.12, 1.5, 1.6), DEFAULT_LO, DEFAULT_HI, 5)
     assert not cut.success
 
 
@@ -396,20 +544,21 @@ def test_nelder_mead_follows_scipy_where_the_collapse_is_undefined():
     data = ScalingDataset.from_points(
         [(32, d, 1.0 + d) for d in (0.3, 0.35, 0.4, 0.45, 0.5)]
         + [(64, d, 1.2 + d) for d in (0.05, 0.1, 0.15, 0.2)])
+    func = objective(data)
     for x0, all_undefined in (((0.1, 1.0, 1.0), False), ((0.15, 1.5, 1.0), True)):
         values = []
 
-        def objective(p):
-            values.append(scaling._normalized_quality(data, p))
+        def recorded(p):
+            values.append(func(p))
             return values[-1]
 
-        scaling._nelder_mead(objective, np.array(x0), DEFAULT_LO, DEFAULT_HI, 2000)
+        run_simplex(recorded, x0, DEFAULT_LO, DEFAULT_HI, 2000)
         n_undefined = values.count(1e12)
         if all_undefined:  # every value ties, so the vertex order is argsort's tie order
             assert n_undefined == len(values)
         else:
             assert 0 < n_undefined < len(values)
-        assert_same_simplex_path(objective, x0, DEFAULT_LO, DEFAULT_HI, 2000)
+        assert_same_simplex_path(func, x0, DEFAULT_LO, DEFAULT_HI, 2000)
 
 
 def test_nelder_mead_follows_scipy_on_staircase_objectives():
@@ -421,16 +570,13 @@ def test_nelder_mead_follows_scipy_on_staircase_objectives():
             assert_same_simplex_path(objective, x0, DEFAULT_LO, DEFAULT_HI, 2000)
 
 
-def test_rescaled_is_read_only_and_reused_only_for_the_same_parameter_objects():
+def test_rescaled_is_read_only_and_keeps_the_sign_of_zero():
     data = ScalingDataset.from_points([(16, -0.0, 1.0), (32, 0.1, 2.0)])
-    delta_c, nu, zeta = 0.0, 1.5, 1.0
-    x, y = data.rescaled(delta_c, nu, zeta)
-    again = data.rescaled(delta_c, nu, zeta)
-    assert again[0] is x and again[1] is y
+    x, y = data.rescaled(0.0, 1.5, 1.0)
     with pytest.raises(ValueError, match="read-only"):
         y[0] = 0.0
     # -0.0 == 0.0, but -0.0 - 0.0 and -0.0 - (-0.0) differ in sign
-    x_neg, _ = data.rescaled(-0.0, nu, zeta)
+    x_neg, _ = data.rescaled(-0.0, 1.5, 1.0)
     assert np.signbit(x[0]) and not np.signbit(x_neg[0])
 
 
@@ -438,6 +584,26 @@ def test_fit_collapse_dataset_invariants():
     small = synthetic_collapse(0.15, 1.9, 2.0, sizes=(32, 64))
     with pytest.raises(CollapseError, match="3 sizes"):
         fit_collapse(small)
+
+
+def test_fit_collapse_rejects_non_finite_data(monkeypatch):
+    data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=np.random.default_rng(0))
+
+    def never(*args):
+        raise AssertionError("the objective ran on non-finite data")
+
+    monkeypatch.setattr(scaling, "_normalized_quality", never)
+    columns = {"sizes": data.sizes.astype(float), "deltas": data.deltas,
+               "values": data.values, "weights": data.weights}
+    for name, bad, count, words in (("values", np.nan, 1, "1 non-finite entry"),
+                                    ("deltas", np.inf, 2, "2 non-finite entries"),
+                                    ("weights", np.nan, 3, "3 non-finite entries"),
+                                    ("sizes", -np.inf, 1, "1 non-finite entry")):
+        changed = dict(columns)
+        changed[name] = columns[name].copy()
+        changed[name][[5, 17, 30][:count]] = bad
+        with pytest.raises(CollapseError, match=f"{name} holds {words}"):
+            fit_collapse(ScalingDataset(**changed), bootstrap_n=2)
 
 
 def test_cft_log_fit_exact_model():
