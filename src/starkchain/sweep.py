@@ -1,9 +1,16 @@
 """Config-driven grid runner: trajectories over (gamma, delta, L) with persistence.
 
-Outputs are plain CSV/JSON/NPZ files in an output directory, listed in a
-manifest with content hashes.  Each grid point's files are written by the
+Outputs are plain CSV/JSON/NPZ files in an output directory.  The names a run
+may write are one list of glob patterns, RUN_OUTPUTS: a grid run (simulate,
+phase-diagram) deletes every file matching them before its first point, and
+every verb that writes into the directory (those two, spectral, collapse) ends
+by writing manifest.json, which lists each file in the directory that matches
+them with its content hash.  Each grid point's files are written by the
 process that ran it as soon as the point finishes; the manifest is written
-last.  Runs are deterministic: at a fixed BLAS thread count, a rerun with an
+last.  The manifest carries the config and runtime of the verb that wrote it.
+Its status and row errors come from the grid: a verb that runs no grid keeps
+those of the manifest already in the directory (complete and none without
+one).  Runs are deterministic: at a fixed BLAS thread count, a rerun with an
 identical config (including seed) produces byte-identical files, independent
 of the worker count.  Wall-clock timing is therefore only recorded when
 `record_timings` is enabled, since real timings vary between runs.
@@ -62,19 +69,11 @@ def _is_seq(v, n: int) -> bool:
     return isinstance(v, (tuple, list)) and len(v) == n
 
 
-def _is_float_key(key) -> bool:
-    try:
-        float(key)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class CollapseOptions:
     init: tuple = DEFAULT_INIT
     bounds: tuple = DEFAULT_BOUNDS
-    window_min_delta: object = 0.1   # scalar, or {gamma: value} mapping
+    window_min_delta: float | None = 0.1
     bootstrap_n: int = 100
     seed: int = 7
 
@@ -95,24 +94,9 @@ class CollapseOptions:
         object.__setattr__(self, "init", tuple(self.init))
         object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
         w = self.window_min_delta
-        if isinstance(w, dict):
-            ok = all(_is_number(v) and _is_float_key(k) for k, v in w.items())
-        else:
-            ok = w is None or _is_number(w)
-        if not ok:
-            raise ValueError(f"collapse_options window_min_delta must be None, a number, "
-                             f"or a mapping from gamma to numbers, got {w!r}")
-
-    def min_delta_for(self, gamma: float) -> float | None:
-        w = self.window_min_delta
-        if w is None:
-            return None
-        if isinstance(w, dict):
-            for key, val in w.items():
-                if np.isclose(float(key), gamma):
-                    return float(val)
-            return None
-        return float(w)
+        if not (w is None or _is_number(w)):
+            raise ValueError(f"collapse_options window_min_delta must be null or a number, "
+                             f"got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -280,9 +264,9 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     """Run one trajectory and write the point's own files into the output directory.
 
     Returns the point's row: its scalars, its mutual information and CFT fit,
-    and the paths written, but no array, so a pool worker sends back only a
-    few hundred bytes.  A failing trajectory is recorded in the row instead of
-    raising; a failing write raises.
+    but no array, so a pool worker sends back only a few hundred bytes.  A
+    failing trajectory is recorded in the row instead of raising; a failing
+    write raises.
     """
     t0 = time.perf_counter()
     result = {
@@ -290,7 +274,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         "boundary": config.boundary.value,
         "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
         "converged": False, "wall_time_s": 0.0, "error": None,
-        "mi_steady": None, "cft_fit": None, "files": [],
+        "mi_steady": None, "cft_fit": None,
     }
     mi_steps: list = []
     mi_vals: list = []
@@ -325,12 +309,9 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
 
     outdir = Path(config.output_dir)
     tag = point_tag(gamma, delta, length)
-    files = result["files"]
     if config.analyses.cft_fit:
         prof = entropy_profile(record.final_correlation)
-        path = outdir / f"profile_{tag}.csv"
-        write_profile_csv(path, prof, length)
-        files.append(path)
+        write_profile_csv(outdir / f"profile_{tag}.csv", prof, length)
         try:
             fit = cft_log_fit(prof, length)
             result["cft_fit"] = {"c": fit.c, "const": fit.const,
@@ -339,9 +320,8 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
             result["cft_fit"] = {"error": str(err)}
 
     if config.analyses.density_movie:
-        path = outdir / f"density_{tag}.csv"
-        write_density_csv(path, record.density_steps, record.density_series)
-        files.append(path)
+        write_density_csv(outdir / f"density_{tag}.csv", record.density_steps,
+                          record.density_series)
 
     if config.save_trajectories or config.analyses.cft_fit or config.analyses.density_movie:
         detail = {
@@ -360,9 +340,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         if want_mi and mi_vals:
             detail["mi_steps"] = np.asarray(mi_steps, dtype=int)
             detail["mi_series"] = np.asarray(mi_vals)
-        path = outdir / f"traj_{tag}.npz"
-        np.savez(path, **detail)
-        files.append(path)
+        np.savez(outdir / f"traj_{tag}.npz", **detail)
     return result
 
 
@@ -406,10 +384,13 @@ def _output_dir(config: SweepConfig) -> Path:
     return outdir
 
 
-# Names of the analysis files a sweep may write besides sweep.csv, as glob patterns.
+# Names of every file a run writes besides manifest.json, as glob patterns.  This
+# is the one record of a run's files: what a grid run clears before it starts and
+# what every manifest lists.
 COLLAPSE_OUTPUTS = ("collapse.json", "collapse_g*.csv")
-ANALYSIS_OUTPUTS = ("mutual_info.csv", "power_law.json", *COLLAPSE_OUTPUTS, "fractal.csv",
-                    "cft_fit.json", "profile_*.csv", "density_*.csv", "traj_*.npz")
+RUN_OUTPUTS = ("sweep.csv", "phase_diagram.csv", "boundaries.csv", "mutual_info.csv",
+               "power_law.json", *COLLAPSE_OUTPUTS, "fractal.csv", "cft_fit.json",
+               "profile_*.csv", "density_*.csv", "traj_*.npz")
 
 
 def _clear_outputs(outdir: Path, patterns: tuple):
@@ -422,24 +403,25 @@ def _clear_outputs(outdir: Path, patterns: tuple):
 def _start_run(config: SweepConfig) -> Path:
     """Make the output directory and delete an earlier run's results in it.
 
-    Workers write each point's files as it finishes, so this runs before the
-    grid starts; the directory then holds only this run's results, and holds a
-    manifest only once the run has finished.  Export tables (fig_*) stay.
+    It deletes manifest.json and every file matching RUN_OUTPUTS: sweep.csv,
+    phase_diagram.csv, boundaries.csv, the analysis files and the per-point
+    profile_*, density_* and traj_* files.  Workers write each point's files as
+    it finishes, so this runs before the grid starts; the directory then holds
+    only this run's results, and holds a manifest only once the run has
+    finished.  Other files, such as export tables (fig_*), stay.
     """
     outdir = _output_dir(config)
-    _clear_outputs(outdir, ("manifest.json", "sweep.csv", *ANALYSIS_OUTPUTS))
+    _clear_outputs(outdir, ("manifest.json", *RUN_OUTPUTS))
     return outdir
 
 
 def _emit_results(config: SweepConfig, outdir: Path, results: list,
-                  fractal: list | None) -> tuple[list, dict]:
-    """Write sweep.csv and the whole-run analyses; return all files and the collapse fits.
+                  fractal: list | None) -> dict:
+    """Write sweep.csv and the whole-run analyses; return the collapse fits.
 
-    The per-point files are already written; their paths come from the rows.
+    The per-point files are already written.
     """
-    path = outdir / "sweep.csv"
-    write_csv(path, ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
-    files = [path, *(p for r in results for p in r["files"])]
+    write_csv(outdir / "sweep.csv", ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
     ok = [r for r in results if r["error"] is None]
 
     if config.analyses.mutual_info:
@@ -448,9 +430,7 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list,
             for r in ok if r["mi_steady"] is not None
         ]
         if mi_rows:
-            path = outdir / "mutual_info.csv"
-            write_csv(path, ["gamma", "delta", "L", "mi"], mi_rows)
-            files.append(path)
+            write_csv(outdir / "mutual_info.csv", ["gamma", "delta", "L", "mi"], mi_rows)
 
     if config.analyses.power_law:
         fits = {}
@@ -466,36 +446,29 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list,
                         "beta": fit.beta, "stderr": fit.stderr, "n_sizes": len(pts),
                     }
         if fits:
-            path = outdir / "power_law.json"
-            write_json(path, fits)
-            files.append(path)
+            write_json(outdir / "power_law.json", fits)
 
-    collapse_fits = {}
-    if config.analyses.collapse:
-        collapse_files, collapse_fits = _emit_collapse(config, outdir, ok)
-        files.extend(collapse_files)
+    collapse_fits = _emit_collapse(config, outdir, ok) if config.analyses.collapse else {}
 
     if fractal is not None:
-        files.append(_emit_fractal(outdir, fractal))
+        _emit_fractal(outdir, fractal)
 
     if config.analyses.cft_fit:
         fit_entries = {point_tag(r["gamma"], r["delta"], r["L"]): r["cft_fit"] for r in ok}
         if fit_entries:
-            path = outdir / "cft_fit.json"
-            write_json(path, fit_entries)
-            files.append(path)
+            write_json(outdir / "cft_fit.json", fit_entries)
 
-    return files, collapse_fits
+    return collapse_fits
 
 
-def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list, dict]:
-    """Fit each configured gamma's finite rows; return the files written and the fits.
+def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> dict:
+    """Fit each configured gamma's finite rows, write the fits, and return them.
 
     The order of `rows` sets the bootstrap resamples.  Earlier collapse files in
     `outdir` are removed first, so it holds exactly this call's fits.
     """
     _clear_outputs(outdir, COLLAPSE_OUTPUTS)
-    files = []
+    opts = config.collapse_options
     fits = {}
     for g in sorted(config.gamma_values):
         pts = [
@@ -504,35 +477,24 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> tuple[list,
         ]
         if not pts:
             continue
-        data = ScalingDataset.from_points(pts)
-        min_d = config.collapse_options.min_delta_for(g)
-        data = data.restrict_delta(min_delta=min_d)
+        data = ScalingDataset.from_points(pts).restrict_delta(min_delta=opts.window_min_delta)
         try:
-            fit = fit_collapse(
-                data,
-                init=config.collapse_options.init,
-                bounds=config.collapse_options.bounds,
-                bootstrap_n=config.collapse_options.bootstrap_n,
-                seed=config.collapse_options.seed,
-            )
+            fit = fit_collapse(data, init=opts.init, bounds=opts.bounds,
+                               bootstrap_n=opts.bootstrap_n, seed=opts.seed)
         except ValueError as err:
             fits[f"{g:g}"] = {"error": str(err)}
             continue
         fits[f"{g:g}"] = fit.as_dict()
         x, y = data.rescaled(fit.delta_c, fit.nu, fit.zeta)
         order = np.lexsort((x,))
-        path = outdir / f"collapse_g{g:g}.csv"
         write_csv(
-            path, ["x", "y", "L", "delta"],
+            outdir / f"collapse_g{g:g}.csv", ["x", "y", "L", "delta"],
             [[x[i], y[i], int(data.sizes[i]), data.deltas[i]] for i in order],
             comments=[f"delta_c={fit.delta_c:.17e} nu={fit.nu:.17e} zeta={fit.zeta:.17e}"],
         )
-        files.append(path)
     if fits:
-        path = outdir / "collapse.json"
-        write_json(path, fits)
-        files.append(path)
-    return files, fits
+        write_json(outdir / "collapse.json", fits)
+    return fits
 
 
 def _fractal_rows(config: SweepConfig) -> list:
@@ -545,13 +507,11 @@ def _fractal_rows(config: SweepConfig) -> list:
     ]
 
 
-def _emit_fractal(outdir: Path, rows: list) -> Path:
-    path = outdir / "fractal.csv"
-    write_csv(path, ["gamma", "delta", "L", "gamma_bar"], rows)
-    return path
+def _emit_fractal(outdir: Path, rows: list):
+    write_csv(outdir / "fractal.csv", ["gamma", "delta", "L", "gamma_bar"], rows)
 
 
-def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict) -> Path:
+def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict):
     """Per-gamma fitted delta_c (NaN without a fit in `fits`) and analytic boundaries."""
     nan = float("nan")
     L = max(config.sizes)
@@ -564,9 +524,8 @@ def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict) -> Path:
         except ValueError:
             d1, d2 = nan, nan
         rows.append([g, fit.get("delta_c", nan), fit.get("delta_c_err", nan), d1, d2])
-    path = outdir / "boundaries.csv"
-    write_csv(path, ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], rows)
-    return path
+    write_csv(outdir / "boundaries.csv",
+              ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], rows)
 
 
 # Environment variables that set the BLAS thread count.  Past double precision's
@@ -584,12 +543,25 @@ def _runtime() -> dict:
     }
 
 
-def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> dict:
-    """Write manifest.json, last of the run's files, and return it."""
-    errors = [
-        {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
-        for r in results if r["error"] is not None
-    ]
+def _finish(config: SweepConfig, outdir: Path, results: list | None = None) -> dict:
+    """Write manifest.json, last of the run's files, and return it.
+
+    It lists every file in `outdir` that matches RUN_OUTPUTS, with its hash.
+    `results` are the grid's rows, whose errors set the status; a verb that
+    runs no grid passes None and keeps the row errors of the manifest already
+    in `outdir` (none without one).
+    """
+    path = outdir / "manifest.json"
+    if results is not None:
+        errors = [
+            {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
+            for r in results if r["error"] is not None
+        ]
+    elif path.exists():
+        errors = json.loads(path.read_text(encoding="utf-8"))["row_errors"]
+    else:
+        errors = []
+    owned = {p for pattern in RUN_OUTPUTS for p in outdir.glob(pattern)}
     manifest = {
         "config": config_as_dict(config),
         "status": "partial" if errors else "complete",
@@ -597,10 +569,10 @@ def _finish(config: SweepConfig, outdir: Path, results: list, files: list) -> di
         "runtime": _runtime(),
         "files": [
             {"path": p.name, "sha256": sha256_file(p), "bytes": p.stat().st_size}
-            for p in sorted(files, key=lambda p: p.name)
+            for p in sorted(owned, key=lambda p: p.name)
         ],
     }
-    write_json(outdir / "manifest.json", manifest)
+    write_json(path, manifest)
     return manifest
 
 
@@ -616,8 +588,8 @@ def run_sweep(config: SweepConfig) -> dict:
     """
     outdir = _start_run(config)
     results, fractal = _run_grid(config)
-    files, _ = _emit_results(config, outdir, results, fractal)
-    return _finish(config, outdir, results, files)
+    _emit_results(config, outdir, results, fractal)
+    return _finish(config, outdir, results)
 
 
 def run_phase_diagram(config: SweepConfig) -> dict:
@@ -633,31 +605,34 @@ def run_phase_diagram(config: SweepConfig) -> dict:
     outdir = _start_run(config)
     results, fractal = _run_grid(config)
     with_collapse = replace(config, analyses=replace(config.analyses, collapse=True))
-    files, fits = _emit_results(with_collapse, outdir, results, fractal)
+    fits = _emit_results(with_collapse, outdir, results, fractal)
 
     l_max = max(config.sizes)
     grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
                  for r in results if r["error"] is None and r["L"] == l_max]
-    path = outdir / "phase_diagram.csv"
-    write_csv(path, ["gamma", "delta", "s_half"], grid_rows)
-    files.append(path)
-    files.append(_emit_boundaries(config, outdir, fits))
-    return _finish(config, outdir, results, files)
+    write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
+    _emit_boundaries(config, outdir, fits)
+    return _finish(config, outdir, results)
 
 
 def run_spectral(config: SweepConfig) -> dict:
-    """Average fractal dimension over the grid plus analytic boundaries."""
+    """Average fractal dimension over the grid plus analytic boundaries.
+
+    Writes fractal.csv and boundaries.csv over any earlier ones and returns
+    the rewritten manifest; the directory's other run files stay.
+    """
     outdir = _output_dir(config)
-    files = [_emit_fractal(outdir, _fractal_rows(config)),
-             _emit_boundaries(config, outdir, {})]
-    return _finish(config, outdir, [], files)
+    _emit_fractal(outdir, _fractal_rows(config))
+    _emit_boundaries(config, outdir, {})
+    return _finish(config, outdir)
 
 
 def refit_collapse(config: SweepConfig) -> dict:
     """Refit the collapse on the output directory's sweep.csv, rows in file order.
 
-    Returns the fits by gamma key; an empty dict means no configured gamma had
-    a finite row, and then nothing was written.
+    Rewrites the manifest and returns the fits by gamma key; an empty dict
+    means no configured gamma had a finite row, and then no collapse file was
+    written.
     """
     outdir = Path(config.output_dir)
     path = outdir / "sweep.csv"
@@ -668,4 +643,6 @@ def refit_collapse(config: SweepConfig) -> dict:
          "s_half_steady": float(r["s_half_steady"])}
         for r in read_csv(path)
     ]
-    return _emit_collapse(config, outdir, rows)[1]
+    fits = _emit_collapse(config, outdir, rows)
+    _finish(config, outdir)
+    return fits

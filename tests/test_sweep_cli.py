@@ -1,7 +1,10 @@
 import concurrent.futures
 import dataclasses
+import fnmatch
+import hashlib
 import json
 import os
+import shutil
 import typing
 from pathlib import Path
 
@@ -35,7 +38,7 @@ def failed_point(gamma, delta, length) -> dict:
     return {"gamma": gamma, "delta": delta, "L": length, "boundary": "open",
             "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
             "converged": False, "wall_time_s": 0.0, "error": "synthetic failure",
-            "mi_steady": None, "cft_fit": None, "files": []}
+            "mi_steady": None, "cft_fit": None}
 
 
 def test_single_point_sweep_smoke(tmp_path):
@@ -478,8 +481,7 @@ def test_pool_gets_longest_points_first(tmp_path, monkeypatch):
     ("collapse_options", "bounds", [[0.005, 1.0], [4.0, 0.5], [0.5, 4.0]]),
     ("collapse_options", "bounds", [[0.005, 1.0], [0.5, 4.0]]),
     ("collapse_options", "window_min_delta", "x"),
-    ("collapse_options", "window_min_delta", {"-0.5": "x"}),
-    ("collapse_options", "window_min_delta", {"gamma": 0.1}),
+    ("collapse_options", "window_min_delta", {"-0.5": 0.1}),
     ("collapse_options", "neighbors", 5),
     ("schedule", "stepz", 100),
     ("smoothing", "sigmaa", 1.0),
@@ -726,7 +728,7 @@ def holds_an_array(value) -> bool:
     return False
 
 
-def test_point_row_holds_no_array_and_names_the_files_written(tmp_path):
+def test_point_row_holds_no_array_and_the_point_writes_its_own_files(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     cfg = config_from_dict({**EVERY_POINT_ANALYSIS, "output_dir": str(out)})
@@ -734,9 +736,8 @@ def test_point_row_holds_no_array_and_names_the_files_written(tmp_path):
     assert row["error"] is None and row["mi_steady"] is not None
     assert not holds_an_array(row)
     tag = point_tag(-0.5, 0.15, 16)
-    assert sorted(p.name for p in row["files"]) == [
+    assert sorted(p.name for p in out.iterdir()) == [
         f"density_{tag}.csv", f"profile_{tag}.csv", f"traj_{tag}.npz"]
-    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in row["files"])
     assert set(row["cft_fit"]) in ({"c", "const", "rms_residual"}, {"error"})
 
 
@@ -815,3 +816,106 @@ def test_manifest_records_the_runtime(tmp_path, monkeypatch):
     assert "OPENBLAS_NUM_THREADS" in runtime
     assert runtime["cpu_count"] == os.cpu_count()
     assert runtime["numpy"] == np.__version__ and runtime["scipy"] == scipy.__version__
+
+
+# A grid small enough to run in about a second, but with the 3 sizes and 5
+# deltas per gamma that the collapse fit needs.
+EVERY_ANALYSIS = {
+    "gamma_values": [-0.5, -0.3],
+    "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
+    "sizes": [8, 16, 24],
+    "schedule": {"dt": 10.0, "steps": 60, "sample_stride": 20},
+    "analyses": {name: True for name in ("collapse", "power_law", "cft_fit", "fractal",
+                                         "mutual_info", "density_movie")},
+    "collapse_options": {"window_min_delta": None, "bootstrap_n": 2, "seed": 3},
+    "save_trajectories": True,
+}
+
+
+def owned_by_a_run(name: str) -> bool:
+    return any(fnmatch.fnmatchcase(name, pattern) for pattern in sweep_mod.RUN_OUTPUTS)
+
+
+def assert_manifest_describes(out: Path) -> dict:
+    """The manifest lists exactly the directory's run files, each with its hash and size."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {f["path"]: f for f in manifest["files"]}
+    assert sorted(listed) == sorted(p.name for p in out.iterdir() if owned_by_a_run(p.name))
+    for name, entry in listed.items():
+        data = (out / name).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest(), name
+        assert entry["bytes"] == len(data), name
+    return manifest
+
+
+def run_verb(verb: str, raw: dict, out: Path, *extra: str) -> int:
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(raw))
+    return cli_main([verb, "--config", str(cfg_path), "--output", str(out), *extra])
+
+
+def test_every_file_a_verb_writes_is_a_run_output_and_in_its_manifest(tmp_path):
+    runs = {"simulate": tmp_path / "simulate", "phase-diagram": tmp_path / "phase",
+            "spectral": tmp_path / "spectral", "collapse": tmp_path / "collapse"}
+    runs["collapse"].mkdir()
+    for verb, out in runs.items():
+        if verb == "collapse":
+            shutil.copy(runs["simulate"] / "sweep.csv", out / "sweep.csv")
+        assert run_verb(verb, EVERY_ANALYSIS, out) == 0, verb
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert [name for name in written if not owned_by_a_run(name)] == [], verb
+        assert_manifest_describes(out)  # so it lists exactly the files written
+    tag = point_tag(-0.3, 0.2, 16)
+    assert {"sweep.csv", "mutual_info.csv", "power_law.json", "collapse.json",
+            "collapse_g-0.5.csv", "fractal.csv", "cft_fit.json", f"profile_{tag}.csv",
+            f"density_{tag}.csv", f"traj_{tag}.npz"} <= set(os.listdir(runs["simulate"]))
+    assert {"phase_diagram.csv", "boundaries.csv"} <= set(os.listdir(runs["phase-diagram"]))
+
+
+def test_collapse_after_simulate_rewrites_the_manifest(tmp_path):
+    out = tmp_path / "out"
+    raw = {**EVERY_ANALYSIS, "gamma_values": [-0.5], "analyses": {"collapse": True}}
+    assert run_verb("simulate", raw, out) == 0
+    before = (out / "collapse.json").read_bytes()
+    assert run_verb("collapse", raw, out, "--seed", "4") == 0
+    assert (out / "collapse.json").read_bytes() != before  # other bootstrap resamples
+    manifest = assert_manifest_describes(out)
+    assert manifest["config"]["collapse_options"]["seed"] == 4
+    assert manifest["status"] == "complete" and manifest["row_errors"] == []
+
+
+def test_spectral_into_a_partial_sweep_keeps_its_files_and_status(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_point = sweep_mod._run_point
+
+    def fail_at_l16(config, gamma, delta, length):
+        if length == 16:
+            return failed_point(gamma, delta, length)
+        return run_point(config, gamma, delta, length)
+
+    monkeypatch.setattr(sweep_mod, "_run_point", fail_at_l16)
+    raw = {**FAST, "sizes": [8, 16], "analyses": {"cft_fit": True}}
+    swept = run_sweep(config_from_dict({**raw, "output_dir": str(out)}))
+    assert swept["status"] == "partial"
+    assert run_verb("spectral", raw, out) == 0  # no row of its own failed
+    manifest = assert_manifest_describes(out)
+    assert manifest["status"] == "partial" and manifest["row_errors"] == swept["row_errors"]
+    assert {f["path"] for f in manifest["files"]} == {
+        "sweep.csv", "cft_fit.json", f"profile_{point_tag(-0.5, 0.15, 8)}.csv",
+        f"traj_{point_tag(-0.5, 0.15, 8)}.npz", "fractal.csv", "boundaries.csv"}
+    # without an earlier manifest there is no failed row to keep
+    fresh = run_spectral(config_from_dict({**raw, "output_dir": str(tmp_path / "fresh")}))
+    assert fresh["status"] == "complete" and fresh["row_errors"] == []
+
+
+def test_simulate_into_a_phase_diagram_directory_removes_its_tables(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    raw = {**FAST, "gamma_values": [-0.5, -0.3], "delta_values": [0.05, 0.3], "sizes": [8],
+           "output_dir": str(out)}
+    with monkeypatch.context() as m:
+        m.setattr(sweep_mod, "_run_point", lambda config, g, d, L: failed_point(g, d, L))
+        run_phase_diagram(config_from_dict(raw))
+    assert (out / "phase_diagram.csv").exists() and (out / "boundaries.csv").exists()
+    manifest = run_sweep(config_from_dict(raw))
+    assert not (out / "phase_diagram.csv").exists() and not (out / "boundaries.csv").exists()
+    assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
