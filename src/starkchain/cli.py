@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,10 +26,12 @@ EXIT_IO = 3
 
 
 def _add_common(p: argparse.ArgumentParser):
+    from .sweep import PRESETS
+
     p.add_argument("--config", required=True, help="JSON sweep configuration")
     p.add_argument("--output", help="output directory (overrides config)")
     p.add_argument("--workers", type=int, help="parallel workers (overrides config)")
-    p.add_argument("--preset", choices=("paper", "desk"), help="schedule preset")
+    p.add_argument("--preset", choices=tuple(PRESETS), help="schedule preset")
     p.add_argument("--seed", type=int, help="collapse/bootstrap seed (overrides config)")
 
 
@@ -114,10 +117,15 @@ def cmd_verify(args) -> int:
     from .propagation import PURITY_TOL, trajectory_invariants
 
     path = Path(args.input)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return EXIT_IO
-    with np.load(path) as data:
+    arrays = ("final_correlation", "density_series", "ee_series", "length")
+    with open(path, "rb") as fh:  # a missing file is an I/O error (exit 3)
+        try:
+            data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz data
+            raise OSError(f"{path} is not a saved trajectory: not .npz data") from None
+        missing = [name for name in arrays if name not in getattr(data, "files", ())]
+        if missing:
+            raise OSError(f"{path} is not a saved trajectory: it lacks {', '.join(missing)}")
         checks = trajectory_invariants(data["final_correlation"], data["density_series"],
                                        data["ee_series"], int(data["length"]))
     ok = True

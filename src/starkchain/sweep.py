@@ -7,13 +7,15 @@ every verb that writes into the directory (those two, spectral, collapse) ends
 by writing manifest.json, which lists each file in the directory that matches
 them with its content hash.  Each grid point's files are written by the
 process that ran it as soon as the point finishes; the manifest is written
-last.  The manifest carries the config and runtime of the verb that wrote it.
-Its status and row errors come from the grid: a verb that runs no grid keeps
-those of the manifest already in the directory (complete and none without
-one).  Runs are deterministic: at a fixed BLAS thread count, a rerun with an
-identical config (including seed) produces byte-identical files, independent
-of the worker count.  Wall-clock timing is therefore only recorded when
-`record_timings` is enabled, since real timings vary between runs.
+last.  collapse.json is the one record of the collapse fits: a fit replaces only
+its own gamma's entry, and boundaries.csv reads delta_c from it.  The manifest
+carries the config and runtime of the verb that wrote it; a verb that runs no
+grid copies the grid's config (as grid_config) and row errors, which set the
+status, from the manifest already in the directory.  Runs are deterministic:
+at a fixed BLAS thread count, a rerun with an identical config (including
+seed) produces byte-identical files, independent of the worker count.
+Wall-clock timing is therefore only recorded when `record_timings` is enabled,
+since real timings vary between runs.
 """
 
 from __future__ import annotations
@@ -387,17 +389,9 @@ def _output_dir(config: SweepConfig) -> Path:
 # Names of every file a run writes besides manifest.json, as glob patterns.  This
 # is the one record of a run's files: what a grid run clears before it starts and
 # what every manifest lists.
-COLLAPSE_OUTPUTS = ("collapse.json", "collapse_g*.csv")
 RUN_OUTPUTS = ("sweep.csv", "phase_diagram.csv", "boundaries.csv", "mutual_info.csv",
-               "power_law.json", *COLLAPSE_OUTPUTS, "fractal.csv", "cft_fit.json",
-               "profile_*.csv", "density_*.csv", "traj_*.npz")
-
-
-def _clear_outputs(outdir: Path, patterns: tuple):
-    """Delete the files in `outdir` that match any of `patterns`."""
-    for pattern in patterns:
-        for stale in outdir.glob(pattern):
-            stale.unlink()
+               "power_law.json", "collapse.json", "collapse_g*.csv", "fractal.csv",
+               "cft_fit.json", "profile_*.csv", "density_*.csv", "traj_*.npz")
 
 
 def _start_run(config: SweepConfig) -> Path:
@@ -411,16 +405,15 @@ def _start_run(config: SweepConfig) -> Path:
     finished.  Other files, such as export tables (fig_*), stay.
     """
     outdir = _output_dir(config)
-    _clear_outputs(outdir, ("manifest.json", *RUN_OUTPUTS))
+    for pattern in ("manifest.json", *RUN_OUTPUTS):
+        for stale in outdir.glob(pattern):
+            stale.unlink()
     return outdir
 
 
 def _emit_results(config: SweepConfig, outdir: Path, results: list,
-                  fractal: list | None) -> dict:
-    """Write sweep.csv and the whole-run analyses; return the collapse fits.
-
-    The per-point files are already written.
-    """
+                  fractal: list | None):
+    """Write sweep.csv and the whole-run analyses; the per-point files are already written."""
     write_csv(outdir / "sweep.csv", ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
     ok = [r for r in results if r["error"] is None]
 
@@ -448,7 +441,8 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list,
         if fits:
             write_json(outdir / "power_law.json", fits)
 
-    collapse_fits = _emit_collapse(config, outdir, ok) if config.analyses.collapse else {}
+    if config.analyses.collapse:
+        _emit_collapse(config, outdir, ok)
 
     if fractal is not None:
         _emit_fractal(outdir, fractal)
@@ -458,19 +452,26 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list,
         if fit_entries:
             write_json(outdir / "cft_fit.json", fit_entries)
 
-    return collapse_fits
+
+def _read_fits(outdir: Path) -> dict:
+    path = outdir / "collapse.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
 
 
 def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> dict:
     """Fit each configured gamma's finite rows, write the fits, and return them.
 
-    The order of `rows` sets the bootstrap resamples.  Earlier collapse files in
-    `outdir` are removed first, so it holds exactly this call's fits.
+    The order of `rows` sets the bootstrap resamples.  Each configured gamma's
+    collapse.json entry and collapse_g*.csv are replaced by this call's fit, or
+    removed when it has no rows; other gammas' stay, and collapse.json is
+    deleted once it holds no entry.  The returned dict holds this call's fits.
     """
-    _clear_outputs(outdir, COLLAPSE_OUTPUTS)
+    entries = _read_fits(outdir)
     opts = config.collapse_options
     fits = {}
     for g in sorted(config.gamma_values):
+        entries.pop(f"{g:g}", None)
+        (outdir / f"collapse_g{g:g}.csv").unlink(missing_ok=True)
         pts = [
             (r["L"], r["delta"], r["s_half_steady"])
             for r in rows if r["gamma"] == g and np.isfinite(r["s_half_steady"])
@@ -492,8 +493,11 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> dict:
             [[x[i], y[i], int(data.sizes[i]), data.deltas[i]] for i in order],
             comments=[f"delta_c={fit.delta_c:.17e} nu={fit.nu:.17e} zeta={fit.zeta:.17e}"],
         )
-    if fits:
-        write_json(outdir / "collapse.json", fits)
+    entries.update(fits)
+    if entries:
+        write_json(outdir / "collapse.json", entries)
+    else:
+        (outdir / "collapse.json").unlink(missing_ok=True)
     return fits
 
 
@@ -511,15 +515,15 @@ def _emit_fractal(outdir: Path, rows: list):
     write_csv(outdir / "fractal.csv", ["gamma", "delta", "L", "gamma_bar"], rows)
 
 
-def _emit_boundaries(config: SweepConfig, outdir: Path, fits: dict):
-    """Per-gamma fitted delta_c (NaN without a fit in `fits`) and analytic boundaries."""
+def _emit_boundaries(outdir: Path, gammas, l_max: int):
+    """Per-gamma delta_c from collapse.json (NaN without an entry) and analytic boundaries."""
     nan = float("nan")
-    L = max(config.sizes)
+    fits = _read_fits(outdir)
     rows = []
-    for g in sorted(config.gamma_values):
+    for g in sorted(gammas):
         fit = fits.get(f"{g:g}", {})
         try:
-            pb = phase_boundaries(g, L)
+            pb = phase_boundaries(g, l_max)
             d1, d2 = pb.delta_i, pb.delta_ii
         except ValueError:
             d1, d2 = nan, nan
@@ -547,25 +551,24 @@ def _finish(config: SweepConfig, outdir: Path, results: list | None = None) -> d
     """Write manifest.json, last of the run's files, and return it.
 
     It lists every file in `outdir` that matches RUN_OUTPUTS, with its hash.
-    `results` are the grid's rows, whose errors set the status; a verb that
-    runs no grid passes None and keeps the row errors of the manifest already
-    in `outdir` (none without one).
+    `results` are the grid's rows, whose errors set the status.  A verb that
+    runs no grid passes None and copies the grid's record from the manifest
+    already in `outdir`: its row errors, and its config as grid_config.
     """
     path = outdir / "manifest.json"
-    if results is not None:
-        errors = [
-            {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
-            for r in results if r["error"] is not None
-        ]
-    elif path.exists():
-        errors = json.loads(path.read_text(encoding="utf-8"))["row_errors"]
+    if results is None:
+        earlier = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        record = {"grid_config": earlier.get("grid_config", earlier.get("config")),
+                  "row_errors": earlier.get("row_errors", [])}
     else:
-        errors = []
+        record = {"row_errors": [
+            {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
+            for r in results if r["error"] is not None]}
     owned = {p for pattern in RUN_OUTPUTS for p in outdir.glob(pattern)}
     manifest = {
         "config": config_as_dict(config),
-        "status": "partial" if errors else "complete",
-        "row_errors": errors,
+        **record,
+        "status": "partial" if record["row_errors"] else "complete",
         "runtime": _runtime(),
         "files": [
             {"path": p.name, "sha256": sha256_file(p), "bytes": p.stat().st_size}
@@ -605,34 +608,36 @@ def run_phase_diagram(config: SweepConfig) -> dict:
     outdir = _start_run(config)
     results, fractal = _run_grid(config)
     with_collapse = replace(config, analyses=replace(config.analyses, collapse=True))
-    fits = _emit_results(with_collapse, outdir, results, fractal)
+    _emit_results(with_collapse, outdir, results, fractal)
 
     l_max = max(config.sizes)
     grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
                  for r in results if r["error"] is None and r["L"] == l_max]
     write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
-    _emit_boundaries(config, outdir, fits)
+    _emit_boundaries(outdir, config.gamma_values, l_max)
     return _finish(config, outdir, results)
 
 
 def run_spectral(config: SweepConfig) -> dict:
     """Average fractal dimension over the grid plus analytic boundaries.
 
-    Writes fractal.csv and boundaries.csv over any earlier ones and returns
-    the rewritten manifest; the directory's other run files stay.
+    Writes fractal.csv and boundaries.csv (fitted delta_c from the directory's
+    collapse.json) over any earlier ones and returns the rewritten manifest;
+    the directory's other run files stay.
     """
     outdir = _output_dir(config)
     _emit_fractal(outdir, _fractal_rows(config))
-    _emit_boundaries(config, outdir, {})
+    _emit_boundaries(outdir, config.gamma_values, max(config.sizes))
     return _finish(config, outdir)
 
 
 def refit_collapse(config: SweepConfig) -> dict:
     """Refit the collapse on the output directory's sweep.csv, rows in file order.
 
-    Rewrites the manifest and returns the fits by gamma key; an empty dict
-    means no configured gamma had a finite row, and then no collapse file was
-    written.
+    Replaces the configured gammas' collapse.json entries, rewrites an earlier
+    boundaries.csv for sweep.csv's gammas and largest size, rewrites the
+    manifest, and returns this refit's fits by gamma key; an empty dict means
+    no configured gamma had a finite row.
     """
     outdir = Path(config.output_dir)
     path = outdir / "sweep.csv"
@@ -644,5 +649,7 @@ def refit_collapse(config: SweepConfig) -> dict:
         for r in read_csv(path)
     ]
     fits = _emit_collapse(config, outdir, rows)
+    if rows and (outdir / "boundaries.csv").exists():
+        _emit_boundaries(outdir, {r["gamma"] for r in rows}, max(r["L"] for r in rows))
     _finish(config, outdir)
     return fits

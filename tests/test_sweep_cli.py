@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from starkchain import SweepConfig, config_from_dict, run_phase_diagram, run_spectral, run_sweep
-from starkchain.cli import main as cli_main
+from starkchain.cli import build_parser, main as cli_main
 from starkchain.export import export_figure_data
 from starkchain.scaling import power_law_fit
 from starkchain import sweep as sweep_mod
@@ -919,3 +919,123 @@ def test_simulate_into_a_phase_diagram_directory_removes_its_tables(tmp_path, mo
     manifest = run_sweep(config_from_dict(raw))
     assert not (out / "phase_diagram.csv").exists() and not (out / "boundaries.csv").exists()
     assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
+
+
+# A 2-gamma phase diagram that runs in about a second, with the 5 deltas and 3
+# sizes per gamma that the collapse fit needs.
+PHASE = {
+    "gamma_values": [-0.5, -0.3],
+    "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
+    "sizes": [8, 12, 16],
+    "schedule": {"dt": 10.0, "steps": 60, "sample_stride": 20},
+    "collapse_options": {"window_min_delta": None, "bootstrap_n": 2, "seed": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def phase_template(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("phase") / "out"
+    assert run_verb("phase-diagram", PHASE, out) == 0
+    return out
+
+
+@pytest.fixture
+def phase_dir(phase_template, tmp_path) -> Path:
+    """A fresh copy of the phase diagram's output directory."""
+    out = tmp_path / "out"
+    shutil.copytree(phase_template, out)
+    return out
+
+
+def boundary_rows(out: Path) -> dict:
+    """boundaries.csv's cells by gamma key, as written."""
+    return {f"{float(r['gamma']):g}": r for r in sweep_mod.read_csv(out / "boundaries.csv")}
+
+
+def assert_boundaries_read_collapse_json(out: Path):
+    fits = json.loads((out / "collapse.json").read_text())
+    rows = boundary_rows(out)
+    assert sorted(rows) == sorted(fits)
+    for key, row in rows.items():
+        assert [row["delta_c"], row["delta_c_err"]] == [
+            sweep_mod.format_cell(fits[key]["delta_c"]),
+            sweep_mod.format_cell(fits[key]["delta_c_err"])], key
+
+
+def test_phase_diagram_then_collapse_then_spectral_keep_one_record(phase_dir):
+    grid_manifest = json.loads((phase_dir / "manifest.json").read_text())
+    assert "grid_config" not in grid_manifest  # a grid run states its config once
+    assert_boundaries_read_collapse_json(phase_dir)
+    for verb, extra in (("collapse", ("--seed", "4")), ("spectral", ())):
+        assert run_verb(verb, PHASE, phase_dir, *extra) == 0, verb
+        assert_boundaries_read_collapse_json(phase_dir)
+        manifest = assert_manifest_describes(phase_dir)
+        assert manifest["grid_config"] == grid_manifest["config"], verb
+        assert manifest["config"]["output_dir"] == str(phase_dir), verb
+
+
+def test_spectral_into_a_phase_diagram_directory_keeps_the_fitted_delta_c(phase_dir):
+    before = (phase_dir / "boundaries.csv").read_bytes()
+    assert run_verb("spectral", PHASE, phase_dir) == 0
+    assert (phase_dir / "boundaries.csv").read_bytes() == before
+
+
+def test_collapse_with_new_bounds_rewrites_boundaries_from_collapse_json(phase_dir):
+    before = boundary_rows(phase_dir)
+    options = {**PHASE["collapse_options"], "bounds": [[0.05, 1.0], [0.5, 4.0], [0.5, 4.0]]}
+    # the refit's own sizes do not move delta_i and delta_ii off the grid's largest L
+    raw = {**PHASE, "sizes": [8], "collapse_options": options}
+    assert run_verb("collapse", raw, phase_dir) == 0
+    after = boundary_rows(phase_dir)
+    assert after["-0.5"]["delta_c"] != before["-0.5"]["delta_c"]  # off the old lower bound
+    assert_boundaries_read_collapse_json(phase_dir)
+    for key in before:
+        assert ([after[key][c] for c in ("delta_i", "delta_ii")]
+                == [before[key][c] for c in ("delta_i", "delta_ii")]), key
+
+
+def test_one_gamma_collapse_keeps_the_other_gammas_fit(phase_dir, capsys):
+    kept_table = (phase_dir / "collapse_g-0.3.csv").read_bytes()
+    kept_fit = json.loads((phase_dir / "collapse.json").read_text())["-0.3"]
+    kept_row = boundary_rows(phase_dir)["-0.3"]
+    capsys.readouterr()
+    assert run_verb("collapse", {**PHASE, "gamma_values": [-0.5]}, phase_dir,
+                    "--seed", "4") == 0
+    assert "gamma=-0.3" not in capsys.readouterr().out  # it reports this call's fits only
+    assert (phase_dir / "collapse_g-0.3.csv").read_bytes() == kept_table
+    fits = json.loads((phase_dir / "collapse.json").read_text())
+    assert sorted(fits) == ["-0.3", "-0.5"]
+    assert json.dumps(fits["-0.3"], sort_keys=True) == json.dumps(kept_fit, sort_keys=True)
+    assert boundary_rows(phase_dir)["-0.3"] == kept_row
+    assert_boundaries_read_collapse_json(phase_dir)
+    assert_manifest_describes(phase_dir)
+
+
+def test_collapse_on_a_sweep_without_rows_leaves_boundaries_alone(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_csv(out / "sweep.csv", ROW_COLUMNS, [])
+    (out / "boundaries.csv").write_text("earlier\n")
+    assert run_verb("collapse", FAST, out) == 1  # no usable rows
+    assert (out / "boundaries.csv").read_text() == "earlier\n"
+
+
+def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, capsys):
+    other = tmp_path / "other.npz"
+    np.savez(other, x=np.zeros(3))
+    assert cli_main(["verify", "--input", str(other)]) == 3
+    err = capsys.readouterr().err
+    assert str(other) in err and "final_correlation" in err
+    text, empty, cut = tmp_path / "notes.txt", tmp_path / "empty.npz", tmp_path / "cut.npz"
+    text.write_text("not a trajectory\n")
+    empty.write_bytes(b"")
+    cut.write_bytes(other.read_bytes()[:100])
+    for path in (text, empty, cut):
+        assert cli_main(["verify", "--input", str(path)]) == 3, path.name
+        assert str(path) in capsys.readouterr().err
+
+
+def test_preset_choices_are_the_presets(monkeypatch):
+    monkeypatch.setitem(sweep_mod.PRESETS, "tiny", {"schedule": {"steps": 10}})
+    args = build_parser().parse_args(["simulate", "--config", "c.json", "--preset", "tiny"])
+    assert args.preset == "tiny"
