@@ -126,8 +126,13 @@ def cmd_verify(args) -> int:
         missing = [name for name in arrays if name not in getattr(data, "files", ())]
         if missing:
             raise OSError(f"{path} is not a saved trajectory: it lacks {', '.join(missing)}")
-        checks = trajectory_invariants(data["final_correlation"], data["density_series"],
-                                       data["ee_series"], int(data["length"]))
+        C, density, ee, length = (data[name] for name in arrays)
+        L = int(length) if length.ndim == 0 else None
+        wrong = ["length"] if L is None else [name for name, ok in zip(arrays, (
+            C.shape == (L, L), density.shape[1:] == (L,), ee.ndim == 1)) if not ok]
+        if wrong:
+            raise OSError(f"{path} is not a saved trajectory: wrong shape of {', '.join(wrong)}")
+        checks = trajectory_invariants(C, density, ee, L)
     ok = True
     for name, value in checks.items():
         passed = value <= (PURITY_TOL if name == "purity_symmetry" else args.atol)

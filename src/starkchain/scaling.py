@@ -19,6 +19,9 @@ class CollapseError(ValueError):
     pass
 
 
+NEIGHBORS = 3  # points of each other size that a point's estimate interpolates
+
+
 class PowerLawFit(NamedTuple):
     beta: float
     stderr: float
@@ -41,12 +44,11 @@ class _CollapseLayout(NamedTuple):
     """
 
     n_sizes: int
-    columns: tuple            # float sizes, deltas, values, weights, each (rows, n)
+    columns: tuple            # float sizes, deltas, values, each (rows, n)
     key: np.ndarray           # row * m + size index of each point: the sort's first key
     pairs: np.ndarray         # (4, rows, size pairs): places of lo_a, hi_b, lo_b, hi_a
     blocks: dict              # (k, point count) -> (places, queries, slots), one query a row
     widths: tuple             # per width k, the blocks flattened: see _widths
-    wsum: np.ndarray          # each row's weight sum
 
 
 def _widths(blocks: dict) -> tuple:
@@ -72,7 +74,7 @@ def _widths(blocks: dict) -> tuple:
     return tuple(widths)
 
 
-def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
+def _collapse_layout(data: "ScalingDataset") -> _CollapseLayout:
     """The layout of one dataset: a stack of one row.
 
     One block per (width, point count): row r of its `places` matrix lists
@@ -92,14 +94,13 @@ def _collapse_layout(data: "ScalingDataset", neighbors: int) -> _CollapseLayout:
         others = np.flatnonzero(group != s)
         slots = others * (m - 1) + s - (group[others] < s)
         places = np.tile(np.arange(edges[s], edges[s + 1]), (len(others), 1))
-        blocks.setdefault((min(neighbors, count), count), []).append((places, others, slots))
+        blocks.setdefault((min(NEIGHBORS, count), count), []).append((places, others, slots))
     blocks = {kc: tuple(np.concatenate(a) for a in zip(*parts)) for kc, parts in blocks.items()}
     a, b = np.triu_indices(m, 1)
     lo, hi = edges[:-1], edges[1:] - 1
-    columns = tuple(c.reshape(1, -1) for c in
-                    (data._float_sizes, data.deltas, data.values, data.weights))
+    columns = tuple(c.reshape(1, -1) for c in (data._float_sizes, data.deltas, data.values))
     return _CollapseLayout(m, columns, group, np.stack((lo[a], hi[b], lo[b], hi[a]))[:, None],
-                           blocks, _widths(blocks), np.cumsum(data.weights)[-1:])
+                           blocks, _widths(blocks))
 
 
 def _stack(parts: list) -> _CollapseLayout:
@@ -108,7 +109,7 @@ def _stack(parts: list) -> _CollapseLayout:
         return parts[0]
     m = parts[0].n_sizes
     n = parts[0].columns[0].shape[1]
-    rows = np.cumsum([0] + [len(p.wsum) for p in parts[:-1]]).tolist()  # before each part
+    rows = np.cumsum([0] + [len(p.columns[0]) for p in parts[:-1]]).tolist()  # before each part
     blocks = {}
     for part, row in zip(parts, rows):
         for kc, (places, queries, slots) in part.blocks.items():
@@ -119,7 +120,7 @@ def _stack(parts: list) -> _CollapseLayout:
         m, tuple(np.concatenate(c) for c in zip(*(p.columns for p in parts))),
         np.concatenate([p.key + row * m for p, row in zip(parts, rows)]),
         np.concatenate([p.pairs + row * n for p, row in zip(parts, rows)], axis=1),
-        blocks, _widths(blocks), np.concatenate([p.wsum for p in parts]))
+        blocks, _widths(blocks))
 
 
 def _rescale(sizes, deltas, values, delta_c, nu, zeta):
@@ -128,34 +129,33 @@ def _rescale(sizes, deltas, values, delta_c, nu, zeta):
 
 @dataclass(frozen=True)
 class ScalingDataset:
-    """Half-chain entropy points (L, delta, s_half, weight) for collapse fits.
+    """Half-chain entropy points (L, delta, s_half) for collapse fits.
 
-    The four arrays are read-only copies of the ones passed in, so the
-    collapse layouts cached on the dataset cannot go stale.
+    The three arrays are read-only copies of the ones passed in, so the
+    collapse layout cached on the dataset cannot go stale.
     """
 
     sizes: np.ndarray
     deltas: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("sizes", "deltas", "values", "weights"):
+        for name in ("sizes", "deltas", "values"):
             array = np.array(getattr(self, name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     @classmethod
     def from_points(cls, points: Sequence[tuple]) -> "ScalingDataset":
-        """Build from an iterable of (L, delta, s_half[, weight]) tuples."""
+        """Build from an iterable of (L, delta, s_half) tuples."""
         rows = [tuple(p) for p in points]
         if not rows:
             raise ValueError("empty dataset")
-        sizes = np.array([r[0] for r in rows], dtype=int)
-        deltas = np.array([r[1] for r in rows], dtype=float)
-        values = np.array([r[2] for r in rows], dtype=float)
-        weights = np.array([r[3] if len(r) > 3 else 1.0 for r in rows], dtype=float)
-        return cls(sizes=sizes, deltas=deltas, values=values, weights=weights)
+        if any(len(r) != 3 for r in rows):
+            raise ValueError("each point must be an (L, delta, s_half) tuple")
+        sizes, deltas, values = zip(*rows)
+        return cls(np.array(sizes, dtype=int), np.array(deltas, dtype=float),
+                   np.array(values, dtype=float))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -163,16 +163,15 @@ class ScalingDataset:
     def restrict_delta(self, min_delta: float | None = None) -> "ScalingDataset":
         """Keep only points with delta >= min_delta (all points when it is None)."""
         keep = np.ones(len(self), dtype=bool) if min_delta is None else self.deltas >= min_delta
-        return ScalingDataset(self.sizes[keep], self.deltas[keep],
-                              self.values[keep], self.weights[keep])
+        return ScalingDataset(self.sizes[keep], self.deltas[keep], self.values[keep])
 
     @cached_property
     def _float_sizes(self) -> np.ndarray:
         return self.sizes.astype(float)
 
     @cached_property
-    def _layouts(self) -> dict:
-        return {}
+    def _layout(self) -> _CollapseLayout:
+        return _collapse_layout(self)
 
     def rescaled(self, delta_c: float, nu: float, zeta: float):
         """Collapse coordinates (x, y) = (L^{1/nu} (delta - delta_c), S L^{-zeta/nu}), read-only."""
@@ -183,7 +182,7 @@ class ScalingDataset:
 
     def require_fit_invariants(self):
         """Collapse fitting needs finite data, >= 3 distinct sizes and >= 5 distinct deltas."""
-        for name in ("sizes", "deltas", "values", "weights"):
+        for name in ("sizes", "deltas", "values"):
             bad = np.count_nonzero(~np.isfinite(getattr(self, name)))
             if bad:
                 raise CollapseError(f"collapse fit needs finite data, but {name} holds "
@@ -194,14 +193,6 @@ class ScalingDataset:
             raise CollapseError(
                 f"collapse fit needs >= 3 sizes and >= 5 deltas, got {n_l} and {n_d}"
             )
-
-
-def _layout(data: ScalingDataset, neighbors: int) -> _CollapseLayout:
-    """The dataset's layout, built once per `neighbors` and cached on it."""
-    layout = data._layouts.get(neighbors)
-    if layout is None:
-        layout = data._layouts[neighbors] = _collapse_layout(data, neighbors)
-    return layout
 
 
 def power_law_fit(sizes: Sequence[int], values: Sequence[float]) -> PowerLawFit:
@@ -236,8 +227,6 @@ def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     right fill values, as in np.interp's defaults.
     """
     n_rows, k = xp.shape
-    if k == 0:
-        raise ValueError("array of sample points is empty")
     if k == 1:
         return fp[:, 0].copy()
     j = np.add.reduce(xp <= q[:, None], axis=1) - 1  # last j with xp[j] <= q
@@ -260,12 +249,11 @@ def _interp_rows(q: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: float,
-                     neighbors: int = 3) -> float:
-    """Weighted mean squared deviation of each point from the local master curve.
+def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: float) -> float:
+    """Mean squared deviation of each point from the local master curve.
 
     Every point gets one estimate from each other size.  That size's points
-    are sorted by rescaled x (stably); the `neighbors` of them nearest to the
+    are sorted by rescaled x (stably); the NEIGHBORS of them nearest to the
     point's x, chosen by np.argpartition of |x_j - x|, give a linear
     interpolation with np.interp's semantics: flat extrapolation at the end
     values beyond the neighbors' x-range, and the grid value where x equals a
@@ -277,17 +265,14 @@ def collapse_quality(data: ScalingDataset, delta_c: float, nu: float, zeta: floa
     order.  Zero for a perfect collapse where sizes share x grid points.
 
     This is the stack of one of _stack_quality.  What depends only on the
-    dataset and `neighbors` (size groups, and each other size's candidate
-    places, grouped by point count) is built once and cached on the dataset.
+    dataset (size groups, and each other size's candidate places, grouped by
+    point count) is built once and cached on the dataset.
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    layout = _layout(data, neighbors)
-    quality, _, overlap = _stack_quality(layout, np.array([[delta_c, nu, zeta]], dtype=float))
+    quality, _, overlap = _stack_quality(data._layout, np.array([[delta_c, nu, zeta]], float))
     if not overlap[0]:
         raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
-    if layout.wsum[0] == 0:
-        raise CollapseError("no point could be scored against another size")
     return quality[0]
 
 
@@ -298,9 +283,9 @@ def _stack_quality(layout: _CollapseLayout, points: np.ndarray):
     two of its sizes overlap in rescaled x.  Each row gets the bits that a
     call on its dataset alone gets: the rows share one sort, one selection
     per (width, point count) and one interpolation, but no value crosses
-    rows.  A row without overlap or weight gets a meaningless quality.
+    rows.  A row without overlap gets a meaningless quality.
     """
-    sizes, deltas, values, weights = layout.columns
+    sizes, deltas, values = layout.columns
     rows, n = sizes.shape
     m = layout.n_sizes
     delta_c, nu, zeta = points.T[:, :, None]
@@ -325,9 +310,8 @@ def _stack_quality(layout: _CollapseLayout, points: np.ndarray):
         flat[slots] = _interp_rows(flat_x[queries], x_sorted[near], y_sorted[near])
     # np.mean's sum-then-divide, without its wrapper
     r = y - np.add.reduce(estimates, axis=2) / (m - 1)
-    # running sums keep the point-by-point summation order
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows without weight
-        quality = np.cumsum(weights * r * r, axis=1)[:, -1] / layout.wsum
+    # a running sum keeps the point-by-point summation order
+    quality = np.cumsum(r * r, axis=1)[:, -1] / n
     # np.var(y): the same two pairwise sums per row, without its wrapper
     d = y - (np.add.reduce(y, axis=1) / n)[:, None]
     return quality, np.add.reduce(d * d, axis=1) / n, overlap
@@ -373,11 +357,11 @@ class _Batch(NamedTuple):
     stacks: list
 
 
-def _batch(datasets: list, neighbors: int = 3) -> _Batch:
+def _batch(datasets: list) -> _Batch:
     """Stack the rows' datasets, one stack per (point count, size count)."""
     by_shape = {}
     for row, data in enumerate(datasets):
-        layout = _layout(data, neighbors)
+        layout = data._layout
         parts, rows = by_shape.setdefault((len(data), layout.n_sizes), ([], []))
         parts.append(layout)
         rows.append(row)
@@ -401,7 +385,7 @@ def _normalized_quality(batch: _Batch, points: np.ndarray) -> np.ndarray:
     for layout, rows in batch.stacks:
         quality, var, overlap = _stack_quality(layout, points[rows])
         np.divide(quality, var, out=quality, where=var > 0)
-        values[rows] = np.where(overlap & (layout.wsum != 0), quality, 1e12)
+        values[rows] = np.where(overlap, quality, 1e12)
     return values
 
 
@@ -556,7 +540,7 @@ def fit_collapse(
             idx = rng.integers(0, n, size=n)
             if len(np.unique(data.sizes[idx])) >= 2:
                 resamples.append(ScalingDataset(data.sizes[idx], data.deltas[idx],
-                                                data.values[idx], data.weights[idx]))
+                                                data.values[idx]))
                 break
     refits = _lockstep([(r, _nelder_mead(params, lo, hi, 400)) for r in resamples])
     samples = [np.clip(res.x, lo, hi) for res in refits]

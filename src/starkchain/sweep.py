@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-import scipy
 
 from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
                            steady_state_entropy)
@@ -515,19 +514,24 @@ def _emit_fractal(outdir: Path, rows: list):
     write_csv(outdir / "fractal.csv", ["gamma", "delta", "L", "gamma_bar"], rows)
 
 
-def _emit_boundaries(outdir: Path, gammas, l_max: int):
-    """Per-gamma delta_c from collapse.json (NaN without an entry) and analytic boundaries."""
-    nan = float("nan")
-    fits = _read_fits(outdir)
+def _analytic_boundaries(gammas, l_max: int) -> list:
+    """(gamma, delta_i, delta_ii) per gamma at size l_max, NaN where undefined."""
     rows = []
     for g in sorted(gammas):
-        fit = fits.get(f"{g:g}", {})
         try:
             pb = phase_boundaries(g, l_max)
-            d1, d2 = pb.delta_i, pb.delta_ii
+            rows.append((g, pb.delta_i, pb.delta_ii))
         except ValueError:
-            d1, d2 = nan, nan
-        rows.append([g, fit.get("delta_c", nan), fit.get("delta_c_err", nan), d1, d2])
+            rows.append((g, float("nan"), float("nan")))
+    return rows
+
+
+def _emit_boundaries(outdir: Path, analytic: list):
+    """boundaries.csv: each (gamma, delta_i, delta_ii) of `analytic` beside that
+    gamma's delta_c from collapse.json (NaN without an entry)."""
+    fits, nan = _read_fits(outdir), float("nan")
+    rows = [[g, *(fits.get(f"{g:g}", {}).get(k, nan) for k in ("delta_c", "delta_c_err")), d1, d2]
+            for g, d1, d2 in analytic]
     write_csv(outdir / "boundaries.csv",
               ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], rows)
 
@@ -539,6 +543,7 @@ THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _runtime() -> dict:
     """What besides the config can change output bytes: thread settings, cores, versions."""
+    import scipy  # here alone, so that importing the package loads no scipy
     return {
         **{name: os.environ.get(name) for name in THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
@@ -614,7 +619,7 @@ def run_phase_diagram(config: SweepConfig) -> dict:
     grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
                  for r in results if r["error"] is None and r["L"] == l_max]
     write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
-    _emit_boundaries(outdir, config.gamma_values, l_max)
+    _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, l_max))
     return _finish(config, outdir, results)
 
 
@@ -627,15 +632,16 @@ def run_spectral(config: SweepConfig) -> dict:
     """
     outdir = _output_dir(config)
     _emit_fractal(outdir, _fractal_rows(config))
-    _emit_boundaries(outdir, config.gamma_values, max(config.sizes))
+    _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, max(config.sizes)))
     return _finish(config, outdir)
 
 
 def refit_collapse(config: SweepConfig) -> dict:
     """Refit the collapse on the output directory's sweep.csv, rows in file order.
 
-    Replaces the configured gammas' collapse.json entries, rewrites an earlier
-    boundaries.csv for sweep.csv's gammas and largest size, rewrites the
+    Replaces the configured gammas' collapse.json entries, rewrites the
+    fitted columns of an earlier boundaries.csv's rows from the new
+    collapse.json (its gammas and analytic columns stay), rewrites the
     manifest, and returns this refit's fits by gamma key; an empty dict means
     no configured gamma had a finite row.
     """
@@ -649,7 +655,10 @@ def refit_collapse(config: SweepConfig) -> dict:
         for r in read_csv(path)
     ]
     fits = _emit_collapse(config, outdir, rows)
-    if rows and (outdir / "boundaries.csv").exists():
-        _emit_boundaries(outdir, {r["gamma"] for r in rows}, max(r["L"] for r in rows))
+    boundaries = outdir / "boundaries.csv"
+    kept = read_csv(boundaries) if boundaries.exists() else []
+    if kept:
+        _emit_boundaries(outdir, [[float(r[k]) for k in ("gamma", "delta_i", "delta_ii")]
+                                  for r in kept])
     _finish(config, outdir)
     return fits

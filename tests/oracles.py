@@ -131,8 +131,7 @@ def random_slater_orbitals(length: int, n_particles: int,
     return Q
 
 
-def loop_collapse_quality(data, delta_c: float, nu: float, zeta: float,
-                          neighbors: int = 3) -> float:
+def loop_collapse_quality(data, delta_c: float, nu: float, zeta: float) -> float:
     """The collapse objective as a Python loop over points and other sizes.
 
     `starkchain.scaling.collapse_quality` computes the same number in one
@@ -163,7 +162,6 @@ def loop_collapse_quality(data, delta_c: float, nu: float, zeta: float,
         raise CollapseError("no two sizes overlap in rescaled x; collapse undefined")
 
     total = 0.0
-    wsum = 0.0
     for p in range(len(data)):
         estimates = []
         for s in unique_sizes:
@@ -173,15 +171,10 @@ def loop_collapse_quality(data, delta_c: float, nu: float, zeta: float,
             if len(xs) == 1:
                 estimates.append(ys[0])
                 continue
-            k = min(neighbors, len(xs))
+            k = min(3, len(xs))  # the 3 nearest points of the other size
             near = np.argpartition(np.abs(xs - x[p]), k - 1)[:k]
             near.sort()
             estimates.append(float(np.interp(x[p], xs[near], ys[near])))
-        if not estimates:
-            continue
         r = y[p] - float(np.mean(estimates))
-        total += data.weights[p] * r * r
-        wsum += data.weights[p]
-    if wsum == 0:
-        raise CollapseError("no point could be scored against another size")
-    return total / wsum
+        total += r * r
+    return total / len(data)

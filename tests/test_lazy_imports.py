@@ -1,10 +1,11 @@
 """Modules that only some runs need stay unloaded until a run needs them.
 
-No starkchain code loads scipy.optimize: the collapse fit runs its own
-Nelder-Mead.  scipy.linalg serves only the biorthogonal spectrum (the step
-matrix is built with numpy), and concurrent.futures.process only a sweep with a
-worker pool.  Each check runs in a fresh interpreter, since the test process
-may have loaded them all already.
+Importing starkchain loads no scipy at all, and no starkchain code loads
+scipy.optimize: the collapse fit runs its own Nelder-Mead.  scipy.linalg
+serves only the biorthogonal spectrum (the step matrix is built with numpy),
+and concurrent.futures.process only a sweep with a worker pool.  Each check
+runs in a fresh interpreter, since the test process may have loaded them all
+already.
 """
 
 import json
@@ -26,6 +27,19 @@ def run_fresh(script: str) -> list:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy's version goes into each manifest, read when the manifest is written
+    lines = run_fresh("""
+        import sys
+
+        import starkchain
+        import starkchain.cli
+
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    assert lines == ["[]"]
 
 
 def test_stepping_loads_neither_optimizer_nor_pool_and_a_fit_still_works():

@@ -101,10 +101,17 @@ def test_collapse_quality_no_overlap_errors():
         collapse_quality(data, 0.15, 1.0, 0.0)
 
 
+def test_from_points_takes_only_three_tuples():
+    assert len(ScalingDataset.from_points([(32, 0.1, 1.0), [64, 0.2, 1.5]])) == 2
+    for bad in ((32, 0.1, 1.0, 1.0), (32, 0.1)):
+        with pytest.raises(ValueError, match=r"an \(L, delta, s_half\) tuple"):
+            ScalingDataset.from_points([(16, 0.1, 0.9), bad])
+
+
 def test_collapse_quality_quadratic_in_scale():
     data = synthetic_collapse(0.12, 1.7, 1.8, noise=0.08, rng=np.random.default_rng(3))
     q1 = collapse_quality(data, 0.1, 1.5, 1.5)
-    scaled = ScalingDataset(data.sizes, data.deltas, 5.0 * data.values, data.weights)
+    scaled = ScalingDataset(data.sizes, data.deltas, 5.0 * data.values)
     q2 = collapse_quality(scaled, 0.1, 1.5, 1.5)
     assert q2 == pytest.approx(25.0 * q1, rel=1e-9)
 
@@ -117,16 +124,15 @@ def outcome(kernel, *args, **kwargs):
         return type(err), str(err)
 
 
-def assert_matches_loop(data, delta_c, nu, zeta, neighbors=3):
-    new = outcome(collapse_quality, data, delta_c, nu, zeta, neighbors=neighbors)
-    old = outcome(loop_collapse_quality, data, delta_c, nu, zeta, neighbors=neighbors)
-    assert new == old, (delta_c, nu, zeta, neighbors)
+def assert_matches_loop(data, delta_c, nu, zeta):
+    new = outcome(collapse_quality, data, delta_c, nu, zeta)
+    old = outcome(loop_collapse_quality, data, delta_c, nu, zeta)
+    assert new == old, (delta_c, nu, zeta)
     return new
 
 
 def resample(data, idx):
-    return ScalingDataset(data.sizes[idx], data.deltas[idx], data.values[idx],
-                          data.weights[idx])
+    return ScalingDataset(data.sizes[idx], data.deltas[idx], data.values[idx])
 
 
 def test_collapse_quality_matches_loop_bitwise_on_random_parameters():
@@ -138,7 +144,7 @@ def test_collapse_quality_matches_loop_bitwise_on_random_parameters():
     values = 0
     for i in range(2000):
         params = (rng.uniform(0.0, 0.3), rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
-        q = assert_matches_loop(datasets[i % 10], *params, neighbors=(1, 2, 3, 5)[i // 10 % 4])
+        q = assert_matches_loop(datasets[i % 10], *params)
         values += not isinstance(q, tuple)
     assert values > 1900
 
@@ -160,28 +166,25 @@ def test_collapse_quality_matches_loop_on_edge_layouts():
     by_size = {s: x[data.sizes == s] for s in (16, 32, 64)}
     assert np.isin(by_size[64], by_size[16]).all()  # queries that hit a grid x exactly
     assert by_size[16].min() < by_size[64].min() and by_size[16].max() > by_size[64].max()
-    for neighbors in (1, 2, 3, 5):
-        assert_matches_loop(data, 0.0, 1.0, 0.0, neighbors=neighbors)
-        for _ in range(50):
-            params = (rng.uniform(-0.05, 0.05), rng.uniform(0.5, 3.0), rng.uniform(0.0, 3.0))
-            assert_matches_loop(data, *params, neighbors=neighbors)
-
-    some_zero = ScalingDataset(data.sizes, data.deltas, data.values,
-                               np.where(np.arange(len(data)) % 3 == 0, 0.0, data.weights))
-    assert not isinstance(assert_matches_loop(some_zero, 0.0, 1.0, 0.0), tuple)
+    # sizes 256 and 128 select all of their 1 and 2 points, the rest their nearest 3
+    assert selection_blocks(data) == {3: [(10, [0]), (8, [1]), (4, [2])], 2: [(2, [3])],
+                                      1: [(1, [4])]}
+    assert_matches_loop(data, 0.0, 1.0, 0.0)
+    for _ in range(200):
+        params = (rng.uniform(-0.05, 0.05), rng.uniform(0.5, 3.0), rng.uniform(0.0, 3.0))
+        assert_matches_loop(data, *params)
 
     # nu = 1e-3 overflows L^{1/nu}: x is +-inf, and NaN where delta == delta_c,
     # which np.interp returns as its value
     grid = synthetic_collapse(0.15, 1.9, 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for kernel in (collapse_quality, loop_collapse_quality):
-            for neighbors in (2, 3):
-                assert np.isnan(kernel(grid, grid.deltas[10], 1e-3, 0.0, neighbors=neighbors))
+            assert np.isnan(kernel(grid, grid.deltas[10], 1e-3, 0.0))
 
 
-def selection_blocks(data, neighbors):
+def selection_blocks(data):
     """Per width, the point count and the size indices of each selection block."""
-    layout = scaling._collapse_layout(data, neighbors)
+    layout = scaling._collapse_layout(data)
     ends = np.cumsum(np.unique(data.sizes, return_counts=True)[1])
     blocks = {}
     for (k, count), (places, _, _) in layout.blocks.items():
@@ -199,20 +202,18 @@ def extreme_and_random_params(rng, n):
 
 
 def test_collapse_quality_matches_loop_with_mixed_point_counts():
-    # counts 2, 4, 4, 7, 9: at neighbors 3 one width holds counts 4, 7 and 9,
-    # and its count-4 block stacks two sizes
+    # counts 2, 4, 4, 7, 9: width 3 holds counts 4, 7 and 9, and its count-4
+    # block stacks two sizes
     rng = np.random.default_rng(77)
     counts = {16: 2, 32: 4, 48: 4, 64: 7, 96: 9}
     data = ScalingDataset.from_points(
         [(L, d, 1.0 + rng.uniform()) for L, c in counts.items()
          for d in rng.uniform(0.0, 0.3, size=c)])
-    assert selection_blocks(data, 3)[3] == [(4, [1, 2]), (7, [3]), (9, [4])]
-    assert selection_blocks(data, 5)[4] == [(4, [1, 2])]
+    assert selection_blocks(data) == {2: [(2, [0])], 3: [(4, [1, 2]), (7, [3]), (9, [4])]}
     values = 0
-    for neighbors in (1, 2, 3, 4, 5):
-        for params in extreme_and_random_params(rng, 60):
-            q = assert_matches_loop(data, *params, neighbors=neighbors)
-            values += not isinstance(q, tuple)
+    for params in extreme_and_random_params(rng, 348):
+        q = assert_matches_loop(data, *params)
+        values += not isinstance(q, tuple)
     assert values > 300
 
 
@@ -229,10 +230,9 @@ def test_collapse_quality_matches_loop_on_bootstrap_resamples():
             idx = rng.integers(0, n, size=n)
             assert len(np.unique(idx)) < n  # rows repeat
             data = resample(base, idx)
-            for neighbors in (1, 2, 3, 5):
-                for params in extreme_and_random_params(rng, 10):
-                    q = assert_matches_loop(data, *params, neighbors=neighbors)
-                    values += not isinstance(q, tuple)
+            for params in extreme_and_random_params(rng, 76):
+                q = assert_matches_loop(data, *params)
+                values += not isinstance(q, tuple)
     assert values > 1000
 
 
@@ -247,27 +247,24 @@ def test_collapse_quality_errors_match_loop():
         [(32, 10.0 + k, 1.0) for k in range(3)] + [(64, 0.001 * (k + 1), 1.0) for k in range(3)])
     assert assert_matches_loop(apart, 0.15, 1.0, 0.0) == (
         CollapseError, "no two sizes overlap in rescaled x; collapse undefined")
-    weightless = ScalingDataset(data.sizes, data.deltas, data.values, np.zeros(len(data)))
-    assert assert_matches_loop(weightless, 0.15, 1.9, 2.0) == (
-        CollapseError, "no point could be scored against another size")
 
 
-def loop_objective(data, p, neighbors=3):
+def loop_objective(data, p):
     """The fit's objective at one point, from the loop kernel: the collapse
     quality over np.var of the rescaled y, or 1e12 where it is undefined."""
     delta_c, nu, zeta = p.tolist()
     try:
-        q = loop_collapse_quality(data, delta_c, nu, zeta, neighbors=neighbors)
+        q = loop_collapse_quality(data, delta_c, nu, zeta)
     except CollapseError:
         return 1e12
     var = np.var(data.values * data.sizes.astype(float) ** (-zeta / nu))
     return q / var if var > 0 else q
 
 
-def assert_stack_matches_loop(datasets, points, neighbors=3):
+def assert_stack_matches_loop(datasets, points):
     """The stacked objective against the loop kernel, row by row, bit for bit."""
-    got = scaling._normalized_quality(scaling._batch(datasets, neighbors), points)
-    want = np.array([loop_objective(d, p, neighbors) for d, p in zip(datasets, points)])
+    got = scaling._normalized_quality(scaling._batch(datasets), points)
+    want = np.array([loop_objective(d, p) for d, p in zip(datasets, points)])
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     return got
@@ -282,10 +279,9 @@ def test_stacked_objective_matches_loop_on_one_dataset_repeated():
     rng = np.random.default_rng(14)
     data = synthetic_collapse(0.15, 1.9, 2.0, noise=0.02, rng=rng)
     corners = np.array(extreme_and_random_params(rng, 0))
-    for neighbors in (1, 2, 3, 5):
-        for rows in (1, 9, 40):
-            points = np.concatenate([corners, random_points(rng, rows)])
-            assert_stack_matches_loop([data] * len(points), points, neighbors)
+    for rows in (1, 9, 40, 160):
+        points = np.concatenate([corners, random_points(rng, rows)])
+        assert_stack_matches_loop([data] * len(points), points)
 
 
 def test_stacked_objective_matches_loop_on_bootstrap_resamples():
@@ -305,29 +301,27 @@ def test_stacked_objective_matches_loop_on_bootstrap_resamples():
         if base is mixed:
             assert sorted(set(n_sizes)) == [4, 5]
             assert len(scaling._batch(datasets).stacks) == 2
-        for neighbors in (1, 2, 3, 5):
-            assert_stack_matches_loop(datasets, random_points(rng, len(datasets)), neighbors)
+        for _ in range(4):
+            assert_stack_matches_loop(datasets, random_points(rng, len(datasets)))
 
 
 def test_stacked_objective_scores_undefined_rows_alone():
     # two sizes whose rescaled x ranges overlap only for small delta_c and nu,
-    # stacked with the same points at zero weight and a planted set at 2 sizes
+    # stacked with a planted set at 2 sizes
     near = ScalingDataset.from_points(
         [(32, d, 1.0 + d) for d in (0.3, 0.35, 0.4, 0.45, 0.5)]
         + [(64, d, 1.2 + d) for d in (0.05, 0.1, 0.15, 0.2)])
-    weightless = ScalingDataset(near.sizes, near.deltas, near.values, np.zeros(len(near)))
     two_sizes = synthetic_collapse(0.15, 1.9, 2.0, sizes=(32, 64), x_grid=np.linspace(-1, 1, 9))
-    flat = ScalingDataset(two_sizes.sizes, two_sizes.deltas, np.zeros(len(two_sizes)),
-                          two_sizes.weights)  # zero variance: the quality stays as it is
+    flat = ScalingDataset(two_sizes.sizes, two_sizes.deltas,
+                          np.zeros(len(two_sizes)))  # zero variance: the quality stays as it is
     rng = np.random.default_rng(12)
-    datasets = [near, weightless, two_sizes, flat] * 20
+    datasets = [near, two_sizes, flat] * 20
     points = random_points(rng, len(datasets), delta_c=(0.005, 0.2))
     values = assert_stack_matches_loop(datasets, points)
-    near_values = values[0::4]
+    near_values = values[0::3]
     assert 0 < np.count_nonzero(near_values == 1e12) < len(near_values)
-    assert np.all(values[1::4] == 1e12)
-    assert not np.any(values[2::4] == 1e12)
-    assert np.all(values[3::4] == 0.0)
+    assert not np.any(values[1::3] == 1e12)
+    assert np.all(values[2::3] == 0.0)
 
 
 def test_interp_rows_matches_np_interp_branch_for_branch():
@@ -389,9 +383,9 @@ def test_fit_collapse_builds_each_layout_once(monkeypatch):
     built = []
     build = scaling._collapse_layout
 
-    def counted(dataset, neighbors):
+    def counted(dataset):
         built.append(dataset)
-        return build(dataset, neighbors)
+        return build(dataset)
 
     monkeypatch.setattr(scaling, "_collapse_layout", counted)
     fit_collapse(data, init=(0.12, 1.5, 1.6), bootstrap_n=2, seed=0)
@@ -402,17 +396,17 @@ def test_fit_collapse_builds_each_layout_once(monkeypatch):
 
 def test_dataset_arrays_are_read_only_copies():
     base = synthetic_collapse(0.15, 1.9, 2.0, noise=0.05, rng=np.random.default_rng(4))
-    arrays = [a.copy() for a in (base.sizes, base.deltas, base.values, base.weights)]
+    arrays = [a.copy() for a in (base.sizes, base.deltas, base.values)]
     data = ScalingDataset(*arrays)
-    for a in (data.sizes, data.deltas, data.values, data.weights):
+    for a in (data.sizes, data.deltas, data.values):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     q = collapse_quality(data, 0.1, 1.5, 1.5)
     for a in arrays:
         a[:] = a[0]  # a single size, delta and value if the dataset shared them
     assert collapse_quality(data, 0.1, 1.5, 1.5) == q
-    for a, b in zip((data.sizes, data.deltas, data.values, data.weights),
-                    (base.sizes, base.deltas, base.values, base.weights)):
+    for a, b in zip((data.sizes, data.deltas, data.values),
+                    (base.sizes, base.deltas, base.values)):
         assert np.array_equal(a, b)
 
 
@@ -593,12 +587,10 @@ def test_fit_collapse_rejects_non_finite_data(monkeypatch):
         raise AssertionError("the objective ran on non-finite data")
 
     monkeypatch.setattr(scaling, "_normalized_quality", never)
-    columns = {"sizes": data.sizes.astype(float), "deltas": data.deltas,
-               "values": data.values, "weights": data.weights}
+    columns = {"sizes": data.sizes.astype(float), "deltas": data.deltas, "values": data.values}
     for name, bad, count, words in (("values", np.nan, 1, "1 non-finite entry"),
                                     ("deltas", np.inf, 2, "2 non-finite entries"),
-                                    ("weights", np.nan, 3, "3 non-finite entries"),
-                                    ("sizes", -np.inf, 1, "1 non-finite entry")):
+                                    ("sizes", -np.inf, 3, "3 non-finite entries")):
         changed = dict(columns)
         changed[name] = columns[name].copy()
         changed[name][[5, 17, 30][:count]] = bad

@@ -680,6 +680,8 @@ def test_power_law_fits_each_point_with_three_positive_sizes(tmp_path, monkeypat
 
     fits, rows = fits_and_rows("all")
     assert fits == {f"gamma=-0.5,delta={d:g}": expected(rows, d) for d in (0.1, 0.3)}
+    listed = {f["path"] for f in assert_manifest_describes(tmp_path / "all")["files"]}
+    assert "power_law.json" in listed
 
     # with S = 0 at (delta 0.3, L 16), delta 0.3 keeps two positive sizes and drops out
     run_point = sweep_mod._run_point
@@ -1020,6 +1022,20 @@ def test_collapse_on_a_sweep_without_rows_leaves_boundaries_alone(tmp_path):
     assert (out / "boundaries.csv").read_text() == "earlier\n"
 
 
+def test_collapse_on_a_sweep_without_rows_clears_the_fitted_boundaries(phase_dir):
+    before = boundary_rows(phase_dir)
+    write_csv(phase_dir / "sweep.csv", ROW_COLUMNS, [])
+    assert run_verb("collapse", PHASE, phase_dir) == 1  # no usable rows
+    assert not (phase_dir / "collapse.json").exists()
+    after = boundary_rows(phase_dir)
+    assert sorted(after) == sorted(before) == ["-0.3", "-0.5"]
+    for key, row in after.items():
+        assert [row["delta_c"], row["delta_c_err"]] == ["nan", "nan"], key
+        assert ([row[c] for c in ("delta_i", "delta_ii")]
+                == [before[key][c] for c in ("delta_i", "delta_ii")]), key
+    assert_manifest_describes(phase_dir)
+
+
 def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, capsys):
     other = tmp_path / "other.npz"
     np.savez(other, x=np.zeros(3))
@@ -1033,6 +1049,23 @@ def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, 
     for path in (text, empty, cut):
         assert cli_main(["verify", "--input", str(path)]) == 3, path.name
         assert str(path) in capsys.readouterr().err
+
+
+def test_cli_verify_on_a_trajectory_of_the_wrong_shapes_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, final_correlation=np.zeros(3), density_series=np.zeros(3),
+             ee_series=np.zeros(3), length=4)
+    assert cli_main(["verify", "--input", str(bad)]) == 3
+    assert (f"{bad} is not a saved trajectory: wrong shape of final_correlation, density_series"
+            in capsys.readouterr().err)
+    # a sound trajectory with one array reshaped names that array alone
+    good = {"final_correlation": np.eye(4) * 0.5, "density_series": np.full((2, 4), 0.5),
+            "ee_series": np.zeros(2), "length": 4}
+    for name, shape in (("final_correlation", (4, 2)), ("density_series", (2, 3)),
+                        ("ee_series", (2, 1)), ("length", (1,))):
+        np.savez(bad, **{**good, name: np.zeros(shape)})
+        assert cli_main(["verify", "--input", str(bad)]) == 3, name
+        assert capsys.readouterr().err.rstrip().endswith(f"wrong shape of {name}"), name
 
 
 def test_preset_choices_are_the_presets(monkeypatch):
