@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import zipfile
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -101,38 +98,18 @@ def cmd_spectral(args) -> int:
 def cmd_export(args) -> int:
     from .export import export_figure_data
 
-    path = export_figure_data(
-        args.kind,
-        args.output,
-        out_path=args.out,
-        gamma=args.gamma,
-        delta=args.delta,
-        size=args.size,
-    )
+    path = export_figure_data(args.kind, args.output, out_path=args.out, gamma=args.gamma,
+                              delta=args.delta, size=args.size)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from .propagation import PURITY_TOL, trajectory_invariants
+    from .sweep import read_trajectory
 
-    path = Path(args.input)
     arrays = ("final_correlation", "density_series", "ee_series", "length")
-    with open(path, "rb") as fh:  # a missing file is an I/O error (exit 3)
-        try:
-            data = np.load(fh)
-        except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz data
-            raise OSError(f"{path} is not a saved trajectory: not .npz data") from None
-        missing = [name for name in arrays if name not in getattr(data, "files", ())]
-        if missing:
-            raise OSError(f"{path} is not a saved trajectory: it lacks {', '.join(missing)}")
-        C, density, ee, length = (data[name] for name in arrays)
-        L = int(length) if length.ndim == 0 else None
-        wrong = ["length"] if L is None else [name for name, ok in zip(arrays, (
-            C.shape == (L, L), density.shape[1:] == (L,), ee.ndim == 1)) if not ok]
-        if wrong:
-            raise OSError(f"{path} is not a saved trajectory: wrong shape of {', '.join(wrong)}")
-        checks = trajectory_invariants(C, density, ee, L)
+    checks = trajectory_invariants(*read_trajectory(Path(args.input), arrays).values())
     ok = True
     for name, value in checks.items():
         passed = value <= (PURITY_TOL if name == "purity_symmetry" else args.atol)

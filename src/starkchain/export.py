@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import entropy_profile
-from .sweep import point_tag, read_csv, write_csv, write_density_csv, write_profile_csv
+from .sweep import (point_tag, read_csv, read_trajectory, write_csv, write_density_csv,
+                    write_profile_csv)
 
 EXPORT_KINDS = (
     "s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
@@ -30,18 +31,9 @@ _ROW_TABLES = {
 }
 
 
-def _require(paths: list[Path]):
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise FileNotFoundError("missing input files: " + ", ".join(missing))
-
-
-def _close(a: str, b: float) -> bool:
-    return np.isclose(float(a), b)
-
-
-def svg_heatmap(values: np.ndarray, path: Path, cell: int = 6):
-    """Write a bare-bones SVG heat map of a 2D array (row 0 at the top)."""
+def svg_heatmap(values: np.ndarray, path: Path):
+    """Write a bare-bones SVG heat map of a 2D array (row 0 at the top), 6 px a cell."""
+    cell = 6
     v = np.asarray(values, dtype=float)
     finite = v[np.isfinite(v)]
     lo = float(finite.min()) if finite.size else 0.0
@@ -74,20 +66,14 @@ def svg_heatmap(values: np.ndarray, path: Path, cell: int = 6):
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def export_figure_data(
-    kind: str,
-    output_dir,
-    out_path=None,
-    gamma: float | None = None,
-    delta: float | None = None,
-    size: int | None = None,
-) -> Path:
+def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None = None,
+                       delta: float | None = None, size: int | None = None) -> Path:
     """Write one plot-ready table of the given kind from saved sweep outputs.
 
-    Reads the CSV/NPZ files that `run_sweep`/`run_phase_diagram` produced in
-    `output_dir`; raises FileNotFoundError naming any absent inputs.  Returns
-    the path written.  density_heatmap and fractal_map additionally write an
-    SVG heat map next to the table.
+    Reads the files that `run_sweep`/`run_phase_diagram` wrote in `output_dir`
+    with sweep's readers, which raise OSError naming a missing or malformed
+    file.  Returns the path written; density_heatmap and fractal_map also
+    write an SVG heat map next to the table.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
@@ -95,15 +81,14 @@ def export_figure_data(
 
     if kind in _ROW_TABLES:
         source, filters, columns = _ROW_TABLES[kind]
-        src = outdir / source
-        _require([src])
         wanted = {"gamma": gamma, "delta": delta}
-        rows = [r for r in read_csv(src)
-                if all(wanted[k] is None or _close(r[k], wanted[k]) for k in filters)]
-        rows.sort(key=lambda r: (float(r["delta"]), int(r["L"])))
+        types = {**dict.fromkeys(filters, float), **{col: cast for col, cast, _ in columns}}
+        rows = [r for r in read_csv(outdir / source, types)
+                if all(wanted[k] is None or np.isclose(r[k], wanted[k]) for k in filters)]
+        rows.sort(key=lambda r: (r["delta"], r["L"]))
         path = Path(out_path) if out_path else outdir / f"fig_{kind}.csv"
         write_csv(path, [header for _, _, header in columns],
-                  [[cast(r[col]) for col, cast, _ in columns] for r in rows])
+                  [[r[col] for col, _, _ in columns] for r in rows])
         return path
 
     if kind in ("entropy_profile", "density_heatmap"):
@@ -111,40 +96,32 @@ def export_figure_data(
             raise ValueError(f"{kind} export needs gamma, delta and size")
         tag = point_tag(gamma, delta, size)
         src = outdir / f"traj_{tag}.npz"
-        _require([src])
-        with np.load(src) as data:
-            if kind == "entropy_profile":
-                path = Path(out_path) if out_path else outdir / f"fig_profile_{tag}.csv"
-                write_profile_csv(path, entropy_profile(data["final_correlation"]), size)
-                return path
-            steps = data["density_steps"]
-            dens = data["density_series"]
+        if kind == "entropy_profile":
+            C = read_trajectory(src, ("final_correlation",))["final_correlation"]
+            path = Path(out_path) if out_path else outdir / f"fig_profile_{tag}.csv"
+            write_profile_csv(path, entropy_profile(C), size)
+            return path
+        data = read_trajectory(src, ("density_steps", "density_series"))
         path = Path(out_path) if out_path else outdir / f"fig_density_{tag}.csv"
-        write_density_csv(path, steps, dens)
-        svg_heatmap(dens, path.with_suffix(".svg"))
+        write_density_csv(path, data["density_steps"], data["density_series"])
+        svg_heatmap(data["density_series"], path.with_suffix(".svg"))
         return path
 
     if kind == "collapse":
         if gamma is None:
             raise ValueError("collapse export needs gamma")
         # the rescaled table is already plot-ready and carries the fit in its header
-        src = outdir / f"collapse_g{gamma:g}.csv"
-        _require([src])
         path = Path(out_path) if out_path else outdir / f"fig_collapse_g{gamma:g}.csv"
-        shutil.copyfile(src, path)
+        shutil.copyfile(outdir / f"collapse_g{gamma:g}.csv", path)
         return path
 
     # fractal_map
-    src = outdir / "fractal.csv"
-    _require([src])
-    rows = read_csv(src)
-    gammas = sorted({float(r["gamma"]) for r in rows})
-    deltas = sorted({float(r["delta"]) for r in rows})
+    rows = read_csv(outdir / "fractal.csv", dict.fromkeys(("gamma", "delta", "gamma_bar"), float))
+    gammas = sorted({r["gamma"] for r in rows})
+    deltas = sorted({r["delta"] for r in rows})
     grid = np.full((len(gammas), len(deltas)), np.nan)
     for r in rows:
-        i = gammas.index(float(r["gamma"]))
-        j = deltas.index(float(r["delta"]))
-        grid[i, j] = float(r["gamma_bar"])
+        grid[gammas.index(r["gamma"]), deltas.index(r["delta"])] = r["gamma_bar"]
     table = [[r_g, r_d, grid[i, j]]
              for i, r_g in enumerate(gammas) for j, r_d in enumerate(deltas)]
     path = Path(out_path) if out_path else outdir / "fig_fractal_map.csv"

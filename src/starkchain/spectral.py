@@ -108,8 +108,8 @@ def hermitize_similarity(H: Hamiltonian) -> tuple[np.ndarray, float]:
     return M, float(g)
 
 
-def fractal_dimension(eigenvector: np.ndarray, length: int | None = None) -> float:
-    """IPR exponent of one state: Gamma = -ln(sum_j |psi_j|^4) / ln(length).
+def fractal_dimension(eigenvector: np.ndarray) -> float:
+    """IPR exponent of one state: Gamma = -ln(sum_j |psi_j|^4) / ln(L), L its length.
 
     The vector is normalized to unit 2-norm internally.  Gamma is 1 for a
     uniformly extended state and 0 for a single-site state.
@@ -118,7 +118,7 @@ def fractal_dimension(eigenvector: np.ndarray, length: int | None = None) -> flo
     norm = np.linalg.norm(psi)
     if norm == 0:
         raise ValueError("zero eigenvector has no participation ratio")
-    L = len(psi) if length is None else int(length)
+    L = len(psi)
     if L < 2:
         raise ValueError(f"need length >= 2, got {L}")
     prob = np.abs(psi / norm) ** 2

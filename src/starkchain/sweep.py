@@ -1,6 +1,7 @@
 """Config-driven grid runner: trajectories over (gamma, delta, L) with persistence.
 
-Outputs are plain CSV/JSON/NPZ files in an output directory.  The names a run
+Outputs are plain CSV/JSON/NPZ files in an output directory, each format read
+back by one reader here, beside its writer.  The names a run
 may write are one list of glob patterns, RUN_OUTPUTS: a grid run (simulate,
 phase-diagram) deletes every file matching them before its first point, and
 every verb that writes into the directory (those two, spectral, collapse) ends
@@ -20,11 +21,11 @@ since real timings vary between runs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import time
+import zipfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -213,23 +214,48 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: Path, header: list, rows: list, comments: list | None = None):
-    lines = []
-    for c in comments or []:
-        lines.append(f"# {c}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    lines = [f"# {c}" for c in comments or []] + [",".join(header)]
+    lines += [",".join(format_cell(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path: Path) -> list[dict]:
-    """Rows of a write_csv file as header-keyed strings, in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+def read_csv(path: Path, columns: dict) -> list[dict]:
+    """Rows of a write_csv file in file order, each {name: type(cell)} for `columns`' items.
+
+    A row whose cell count is not the header's, that lacks a column or whose cell
+    does not parse raises OSError naming the file and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, line.rstrip("\n").split(",")) for n, line in enumerate(fh, 1)
+                 if line.strip() and not line.startswith("#")]
+    header = lines[0][1] if lines else []
+    rows = []
+    for n, cells in lines[1:]:
+        if len(cells) != len(header):
+            raise OSError(f"{path}, line {n}: {len(cells)} cells under a header of {len(header)}")
+        row = dict(zip(header, cells))
+        try:
+            rows.append({name: cast(row[name]) for name, cast in columns.items()})
+        except KeyError as err:
+            raise OSError(f"{path}, line {n}: no column {err}") from None
+        except ValueError as err:
+            raise OSError(f"{path}, line {n}: {err}") from None
+    return rows
 
 
 def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path: Path) -> dict:
+    """The object in a write_json file, or {} when there is no file; OSError if it holds none."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    except ValueError as err:
+        raise OSError(f"{path} is not JSON data: {err}") from None
+    if not isinstance(payload, dict):
+        raise OSError(f"{path} holds no JSON object")
+    return payload
 
 
 def sha256_file(path: Path) -> str:
@@ -345,6 +371,37 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     return result
 
 
+def read_trajectory(path: Path, names: tuple) -> dict:
+    """The named arrays of a traj_*.npz file, then its `length` as an int, by name.
+
+    A file that is missing, is not .npz data, lacks one of these arrays or holds
+    one of the wrong shape (`length` an integer scalar L, the others as `shape_ok`
+    says) raises OSError naming the file and the arrays.  density_steps is checked
+    against density_series, so a caller that names it names both.
+    """
+    wanted = tuple(dict.fromkeys((*names, "length")))
+    with open(path, "rb") as fh:  # a missing file is an I/O error (exit 3)
+        try:
+            data = np.load(fh)
+            missing = [name for name in wanted if name not in getattr(data, "files", ())]
+            arrays = {name: data[name] for name in wanted if name not in missing}
+        except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy or .npz data
+            raise OSError(f"{path} is not a saved trajectory: not .npz data") from None
+    if missing:
+        raise OSError(f"{path} is not a saved trajectory: it lacks {', '.join(missing)}")
+    if arrays["length"].ndim or arrays["length"].dtype.kind not in "iu":
+        raise OSError(f"{path} is not a saved trajectory: wrong shape of length")
+    L = arrays["length"] = int(arrays["length"])
+    shape_ok = {"final_correlation": lambda s: s == (L, L),
+                "density_series": lambda s: s[1:] == (L,) and s[0] > 0,  # one sample or more
+                "density_steps": lambda s: s == arrays["density_series"].shape[:1],
+                "ee_series": lambda s: len(s) == 1 and s[0] > 0}
+    wrong = [n for n in wanted if n != "length" and not shape_ok[n](arrays[n].shape)]
+    if wrong:
+        raise OSError(f"{path} is not a saved trajectory: wrong shape of {', '.join(wrong)}")
+    return arrays
+
+
 def _sorted_grid(config: SweepConfig) -> list:
     return [
         (g, d, L)
@@ -452,11 +509,6 @@ def _emit_results(config: SweepConfig, outdir: Path, results: list,
             write_json(outdir / "cft_fit.json", fit_entries)
 
 
-def _read_fits(outdir: Path) -> dict:
-    path = outdir / "collapse.json"
-    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-
-
 def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> dict:
     """Fit each configured gamma's finite rows, write the fits, and return them.
 
@@ -465,7 +517,7 @@ def _emit_collapse(config: SweepConfig, outdir: Path, rows: list) -> dict:
     removed when it has no rows; other gammas' stay, and collapse.json is
     deleted once it holds no entry.  The returned dict holds this call's fits.
     """
-    entries = _read_fits(outdir)
+    entries = read_json(outdir / "collapse.json")
     opts = config.collapse_options
     fits = {}
     for g in sorted(config.gamma_values):
@@ -529,7 +581,7 @@ def _analytic_boundaries(gammas, l_max: int) -> list:
 def _emit_boundaries(outdir: Path, analytic: list):
     """boundaries.csv: each (gamma, delta_i, delta_ii) of `analytic` beside that
     gamma's delta_c from collapse.json (NaN without an entry)."""
-    fits, nan = _read_fits(outdir), float("nan")
+    fits, nan = read_json(outdir / "collapse.json"), float("nan")
     rows = [[g, *(fits.get(f"{g:g}", {}).get(k, nan) for k in ("delta_c", "delta_c_err")), d1, d2]
             for g, d1, d2 in analytic]
     write_csv(outdir / "boundaries.csv",
@@ -562,7 +614,7 @@ def _finish(config: SweepConfig, outdir: Path, results: list | None = None) -> d
     """
     path = outdir / "manifest.json"
     if results is None:
-        earlier = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        earlier = read_json(path)
         record = {"grid_config": earlier.get("grid_config", earlier.get("config")),
                   "row_errors": earlier.get("row_errors", [])}
     else:
@@ -631,8 +683,8 @@ def run_spectral(config: SweepConfig) -> dict:
     the directory's other run files stay.
     """
     outdir = _output_dir(config)
-    _emit_fractal(outdir, _fractal_rows(config))
     _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, max(config.sizes)))
+    _emit_fractal(outdir, _fractal_rows(config))
     return _finish(config, outdir)
 
 
@@ -646,19 +698,13 @@ def refit_collapse(config: SweepConfig) -> dict:
     no configured gamma had a finite row.
     """
     outdir = Path(config.output_dir)
-    path = outdir / "sweep.csv"
-    if not path.exists():
-        raise FileNotFoundError(f"no sweep rows at {path}; run simulate first")
-    rows = [
-        {"gamma": float(r["gamma"]), "delta": float(r["delta"]), "L": int(r["L"]),
-         "s_half_steady": float(r["s_half_steady"])}
-        for r in read_csv(path)
-    ]
-    fits = _emit_collapse(config, outdir, rows)
+    rows = read_csv(outdir / "sweep.csv",
+                    {"gamma": float, "delta": float, "L": int, "s_half_steady": float})
     boundaries = outdir / "boundaries.csv"
-    kept = read_csv(boundaries) if boundaries.exists() else []
+    analytic = ("gamma", "delta_i", "delta_ii")
+    kept = read_csv(boundaries, dict.fromkeys(analytic, float)) if boundaries.exists() else []
+    fits = _emit_collapse(config, outdir, rows)
     if kept:
-        _emit_boundaries(outdir, [[float(r[k]) for k in ("gamma", "delta_i", "delta_ii")]
-                                  for r in kept])
+        _emit_boundaries(outdir, [[r[k] for k in analytic] for r in kept])
     _finish(config, outdir)
     return fits

@@ -669,12 +669,13 @@ def test_power_law_fits_each_point_with_three_positive_sizes(tmp_path, monkeypat
     def fits_and_rows(name):
         out = tmp_path / name
         run_sweep(config_from_dict({**base, "output_dir": str(out)}))
-        rows = sweep_mod.read_csv(out / "sweep.csv")
+        rows = sweep_mod.read_csv(out / "sweep.csv",
+                                  {"delta": float, "L": int, "s_half_steady": float})
         return json.loads((out / "power_law.json").read_text()), rows
 
     def expected(rows, delta):
-        pts = sorted((int(r["L"]), float(r["s_half_steady"])) for r in rows
-                     if float(r["delta"]) == delta and float(r["s_half_steady"]) > 0)
+        pts = sorted((r["L"], r["s_half_steady"]) for r in rows
+                     if r["delta"] == delta and r["s_half_steady"] > 0)
         fit = power_law_fit([p[0] for p in pts], [p[1] for p in pts])
         return {"beta": fit.beta, "stderr": fit.stderr, "n_sizes": len(pts)}
 
@@ -703,7 +704,7 @@ def test_record_timings_sets_wall_time_column(tmp_path, record_timings):
     out = tmp_path / "out"
     run_sweep(config_from_dict({**FAST, "sizes": [8, 16], "output_dir": str(out),
                                 "record_timings": record_timings}))
-    cells = [r["wall_time_s"] for r in sweep_mod.read_csv(out / "sweep.csv")]
+    cells = [r["wall_time_s"] for r in sweep_mod.read_csv(out / "sweep.csv", {"wall_time_s": str})]
     assert len(cells) == 2
     if record_timings:
         assert all(float(c) > 0 for c in cells)
@@ -951,7 +952,9 @@ def phase_dir(phase_template, tmp_path) -> Path:
 
 def boundary_rows(out: Path) -> dict:
     """boundaries.csv's cells by gamma key, as written."""
-    return {f"{float(r['gamma']):g}": r for r in sweep_mod.read_csv(out / "boundaries.csv")}
+    columns = {"gamma": float, **dict.fromkeys(("delta_c", "delta_c_err", "delta_i", "delta_ii"),
+                                               str)}
+    return {f"{r['gamma']:g}": r for r in sweep_mod.read_csv(out / "boundaries.csv", columns)}
 
 
 def assert_boundaries_read_collapse_json(out: Path):
@@ -1036,36 +1039,137 @@ def test_collapse_on_a_sweep_without_rows_clears_the_fitted_boundaries(phase_dir
     assert_manifest_describes(phase_dir)
 
 
+# The CLI calls that read a saved trajectory back, and the arrays each reads
+# besides length.
+TRAJECTORY_READERS = {
+    "verify": ("final_correlation", "density_series", "ee_series"),
+    "entropy_profile": ("final_correlation",),
+    "density_heatmap": ("density_steps", "density_series"),
+}
+
+
+def trajectory_reader_argv(reader: str, path: Path) -> list:
+    """The argv of a TRAJECTORY_READERS call on `path`, a traj_*.npz of (-0.5, 0.15, 4)."""
+    if reader == "verify":
+        return ["verify", "--input", str(path)]
+    return ["export", "--kind", reader, "--output", str(path.parent),
+            "--gamma", "-0.5", "--delta", "0.15", "--size", "4"]
+
+
 def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, capsys):
     other = tmp_path / "other.npz"
     np.savez(other, x=np.zeros(3))
-    assert cli_main(["verify", "--input", str(other)]) == 3
-    err = capsys.readouterr().err
-    assert str(other) in err and "final_correlation" in err
-    text, empty, cut = tmp_path / "notes.txt", tmp_path / "empty.npz", tmp_path / "cut.npz"
-    text.write_text("not a trajectory\n")
-    empty.write_bytes(b"")
-    cut.write_bytes(other.read_bytes()[:100])
-    for path in (text, empty, cut):
-        assert cli_main(["verify", "--input", str(path)]) == 3, path.name
-        assert str(path) in capsys.readouterr().err
+    payloads = {"other": other.read_bytes(), "text": b"not a trajectory\n", "empty": b"",
+                "cut": other.read_bytes()[:100]}
+    for name, payload in payloads.items():
+        path = tmp_path / name / f"traj_{point_tag(-0.5, 0.15, 4)}.npz"
+        path.parent.mkdir()
+        path.write_bytes(payload)
+        for reader, arrays in TRAJECTORY_READERS.items():
+            assert cli_main(trajectory_reader_argv(reader, path)) == 3, (name, reader)
+            err = capsys.readouterr().err
+            assert str(path) in err, (name, reader)
+            if name == "other":  # the message names the missing arrays
+                assert f"it lacks {', '.join(arrays)}, length" in err, reader
 
 
 def test_cli_verify_on_a_trajectory_of_the_wrong_shapes_is_an_io_error(tmp_path, capsys):
-    bad = tmp_path / "bad.npz"
+    bad = tmp_path / f"traj_{point_tag(-0.5, 0.15, 4)}.npz"
     np.savez(bad, final_correlation=np.zeros(3), density_series=np.zeros(3),
              ee_series=np.zeros(3), length=4)
     assert cli_main(["verify", "--input", str(bad)]) == 3
     assert (f"{bad} is not a saved trajectory: wrong shape of final_correlation, density_series"
             in capsys.readouterr().err)
-    # a sound trajectory with one array reshaped names that array alone
+    # a sound trajectory with one array reshaped names that array alone, in every
+    # reader that reads it: no sample, no entropy and a step count that is not the
+    # sample count are wrong shapes too
     good = {"final_correlation": np.eye(4) * 0.5, "density_series": np.full((2, 4), 0.5),
-            "ee_series": np.zeros(2), "length": 4}
-    for name, shape in (("final_correlation", (4, 2)), ("density_series", (2, 3)),
-                        ("ee_series", (2, 1)), ("length", (1,))):
-        np.savez(bad, **{**good, name: np.zeros(shape)})
-        assert cli_main(["verify", "--input", str(bad)]) == 3, name
-        assert capsys.readouterr().err.rstrip().endswith(f"wrong shape of {name}"), name
+            "density_steps": np.array([0, 20]), "ee_series": np.zeros(2), "length": 4}
+    for name, reshaped in (
+            ("final_correlation", {"final_correlation": (4, 2)}),
+            ("density_series", {"density_series": (2, 3)}),
+            ("density_series", {"density_series": (0, 4), "density_steps": (0,)}),
+            ("density_steps", {"density_steps": (3,)}),
+            ("density_steps", {"density_steps": (1,)}),
+            ("ee_series", {"ee_series": (2, 1)}),
+            ("ee_series", {"ee_series": (0,)}),
+            ("length", {"length": (1,)})):
+        np.savez(bad, **{**good, **{k: np.zeros(shape) for k, shape in reshaped.items()}})
+        for reader, arrays in TRAJECTORY_READERS.items():
+            if name in (*arrays, "length"):
+                assert cli_main(trajectory_reader_argv(reader, bad)) == 3, (reshaped, reader)
+                err = capsys.readouterr().err.rstrip()
+                assert err.endswith(f"{bad} is not a saved trajectory: wrong shape of {name}"), (
+                    reshaped, reader)
+
+
+def broken_tables(path: Path, column: str) -> dict:
+    """The CSV at `path` broken three ways, by name: without `column`, with an
+    empty delta cell in its last row, and with its last row one cell short."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    drop, delta = header.index(column), header.index("delta")
+
+    def text(lines):
+        return "".join(",".join(cells) + "\n" for cells in lines)
+
+    return {
+        f"no {column}": text([c for i, c in enumerate(cells) if i != drop]
+                             for cells in (header, *rows)),
+        "empty delta": text([header, *rows[:-1],
+                             ["" if i == delta else c for i, c in enumerate(rows[-1])]]),
+        "short row": text([header, *rows[:-1], rows[-1][:-1]]),
+    }
+
+
+@pytest.mark.parametrize("source, column, calls", [
+    ("sweep.csv", "s_half_steady", (["collapse"], ["export", "--kind", "s_vs_delta"])),
+    ("fractal.csv", "gamma_bar", (["export", "--kind", "fractal_map"],)),
+])
+def test_reading_a_malformed_table_is_an_io_error_naming_the_file(tmp_path, capsys, source,
+                                                                   column, calls):
+    good = tmp_path / "good.csv"
+    if source == "sweep.csv":
+        write_csv(good, ROW_COLUMNS, synthetic_collapse_rows(-0.5))
+    else:
+        write_csv(good, ["gamma", "delta", "L", "gamma_bar"],
+                  [[-0.5, d, 16, 0.5] for d in (0.1, 0.2, 0.3)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**PHASE, "gamma_values": [-0.5]}))
+    for name, text in broken_tables(good, column).items():
+        out = tmp_path / name.replace(" ", "_")
+        out.mkdir()
+        (out / source).write_text(text)
+        for call in calls:
+            config = ["--config", str(cfg)] if call[0] == "collapse" else []
+            assert cli_main([*call, "--output", str(out), *config]) == 3, (name, call)
+            assert f"{out / source}, line " in capsys.readouterr().err, (name, call)
+
+
+def test_a_malformed_input_stops_collapse_and_spectral_before_they_write(phase_dir):
+    kept = read_bytes_map(phase_dir)
+    for verb, name, text in (("collapse", "boundaries.csv", "gamma,delta_i,delta_ii\n-0.5,0.1\n"),
+                             ("collapse", "collapse.json", "["),
+                             ("spectral", "collapse.json", "[]")):
+        (phase_dir / name).write_text(text)
+        assert run_verb(verb, PHASE, phase_dir) == 3, (verb, name)
+        assert read_bytes_map(phase_dir) == {**kept, name: text.encode()}, (verb, name)
+        (phase_dir / name).write_bytes(kept[name])
+
+
+def test_fractal_map_export_pivots_fractal_csv_into_gamma_delta_order(tmp_path):
+    write_csv(tmp_path / "fractal.csv", ["gamma", "delta", "L", "gamma_bar"],
+              [[-0.3, 0.2, 16, 0.4], [-0.5, 0.2, 16, 0.6], [-0.5, 0.1, 16, 0.9]])
+    path = export_figure_data("fractal_map", tmp_path)
+    assert path == tmp_path / "fig_fractal_map.csv"
+    header, *lines = path.read_text().splitlines()
+    assert header == "gamma,delta,gamma_bar"
+    table = [[float(cell) for cell in line.split(",")] for line in lines]
+    assert [row[:2] for row in table] == [[-0.5, 0.1], [-0.5, 0.2], [-0.3, 0.1], [-0.3, 0.2]]
+    values = [row[2] for row in table]
+    assert values[:2] + values[3:] == [0.9, 0.6, 0.4] and np.isnan(values[2])  # no (-0.3, 0.1)
+    svg = path.with_suffix(".svg").read_text()
+    assert svg.startswith("<svg") and svg.count("<rect") == 4
+    assert svg.count('fill="#777777"') == 1  # the missing pair
 
 
 def test_preset_choices_are_the_presets(monkeypatch):
