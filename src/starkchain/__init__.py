@@ -15,6 +15,7 @@ from .entanglement import (
     mutual_information,
     standard_probe_regions,
     steady_state_entropy,
+    steady_state_start,
     subsystem_entropy,
 )
 from .model import (

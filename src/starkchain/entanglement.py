@@ -143,18 +143,32 @@ def gaussian_smooth(series: Sequence[float], sigma: float) -> np.ndarray:
     return num / den
 
 
+def _tail_length(n_entries: int, tail_fraction: float) -> int:
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    return max(1, int(round(tail_fraction * n_entries)))
+
+
+def steady_state_start(n_entries: int, sigma: float = 20.0, tail_fraction: float = 0.25) -> int:
+    """First raw entry of an n_entries series that steady_state_entropy reads.
+
+    The tail's first smoothed entry spans ceil(4 sigma) raw entries back, so
+    the reducer reads from n - n_tail - ceil(4 sigma), floored at 0; entries
+    before it may be anything, NaN included, without changing the result.
+    """
+    return max(0, n_entries - _tail_length(n_entries, tail_fraction) - int(np.ceil(4.0 * sigma)))
+
+
 def steady_state_entropy(record, sigma: float = 20.0, tail_fraction: float = 0.25) -> float:
     """Steady value of a half-chain entropy series: smooth, then average a tail.
 
     `record` may be a trajectory record (its ee_series is used) or a bare
     series.  The series is smoothed with `gaussian_smooth` and the mean over
-    the final `tail_fraction` of entries is returned.
+    the final `tail_fraction` of entries is returned.  Only the entries from
+    steady_state_start on enter it.
     """
     series = np.asarray(getattr(record, "ee_series", record), dtype=float)
     if series.size == 0:
         raise ValueError("empty entropy series")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    smooth = gaussian_smooth(series, sigma)
-    n_tail = max(1, int(round(tail_fraction * smooth.size)))
-    return float(np.mean(smooth[-n_tail:]))
+    n_tail = _tail_length(series.size, tail_fraction)
+    return float(np.mean(gaussian_smooth(series, sigma)[-n_tail:]))

@@ -1,4 +1,8 @@
-"""Plot-ready tables (and minimal SVG heat maps) from saved sweep outputs."""
+"""Plot-ready tables (and minimal SVG heat maps) from saved sweep outputs.
+
+Every kind reads tables that an analysis of the sweep wrote, never a saved
+trajectory: each needs its analysis switched on in the run.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entanglement import entropy_profile
-from .sweep import (point_tag, read_csv, read_trajectory, write_csv, write_density_csv,
-                    write_profile_csv)
+from .sweep import point_tag, read_csv, write_csv
 
 EXPORT_KINDS = (
     "s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
@@ -72,8 +74,10 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
 
     Reads the files that `run_sweep`/`run_phase_diagram` wrote in `output_dir`
     with sweep's readers, which raise OSError naming a missing or malformed
-    file.  Returns the path written; density_heatmap and fractal_map also
-    write an SVG heat map next to the table.
+    file.  entropy_profile and density_heatmap copy the point's profile_*.csv
+    (cft_fit) or density_*.csv (density_movie) once its rows are those of a
+    table of that size.  Returns the path written; density_heatmap and
+    fractal_map also write an SVG heat map next to the table.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
@@ -94,17 +98,22 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
     if kind in ("entropy_profile", "density_heatmap"):
         if gamma is None or delta is None or size is None:
             raise ValueError(f"{kind} export needs gamma, delta and size")
-        tag = point_tag(gamma, delta, size)
-        src = outdir / f"traj_{tag}.npz"
+        stem = "profile" if kind == "entropy_profile" else "density"
+        src = outdir / f"{stem}_{point_tag(gamma, delta, size)}.csv"
         if kind == "entropy_profile":
-            C = read_trajectory(src, ("final_correlation",))["final_correlation"]
-            path = Path(out_path) if out_path else outdir / f"fig_profile_{tag}.csv"
-            write_profile_csv(path, entropy_profile(C), size)
-            return path
-        data = read_trajectory(src, ("density_steps", "density_series"))
-        path = Path(out_path) if out_path else outdir / f"fig_density_{tag}.csv"
-        write_density_csv(path, data["density_steps"], data["density_series"])
-        svg_heatmap(data["density_series"], path.with_suffix(".svg"))
+            rows = read_csv(src, {"l": int, "s_l": float, "L": int})
+            if [(r["l"], r["L"]) for r in rows] != [(l, size) for l in range(1, size)]:
+                raise OSError(f"{src} is not a profile of the cuts 1..{size - 1} of L = {size}")
+        else:
+            rows = read_csv(src, {"step": int, "site": int, "n": float})
+            blocks = [rows[i:i + size] for i in range(0, len(rows), size)]
+            if not rows or any([r["site"] for r in b] != list(range(1, size + 1))
+                               or len({r["step"] for r in b}) != 1 for b in blocks):
+                raise OSError(f"{src} is not a density table of steps x {size} sites 1..{size}")
+        path = Path(out_path) if out_path else outdir / f"fig_{src.name}"
+        shutil.copyfile(src, path)
+        if kind == "density_heatmap":
+            svg_heatmap(np.array([[r["n"] for r in b] for b in blocks]), path.with_suffix(".svg"))
         return path
 
     if kind == "collapse":

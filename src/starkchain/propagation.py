@@ -7,9 +7,11 @@ scaling-and-squaring Pade [13/13] method of Higham (SIAM J. Matrix Anal. Appl.
 factorization, which both normalizes the many-body state and keeps the
 numerics stable against the exponential amplitude growth of nonreciprocal
 evolution.  The two-point correlation matrix of the state is
-C = (Q Q^dag)^T, a Hermitian projector of rank N.  The per-step half-chain
-entropy needs only the left L/2 rows of Q, so C itself is formed only where
-a whole matrix is wanted: at density samples and for the final state.
+C = (Q Q^dag)^T, a Hermitian projector of rank N.  The half-chain entropy
+needs only the left L/2 rows of Q, so C itself is formed only where a whole
+matrix is wanted: at density samples and for the final state.  The entropy
+is formed only from a caller's first read step on (`entropy_from`), since an
+eigvalsh per step is about a third of a step's cost.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
     The correlation-matrix residuals of validate_correlation, the largest
     deviation of a sampled density from L/2 particles, the largest
     |S(1..l) - S(l+1..L)| over the cuts l = 1..L-1 (equal for a pure state;
-    compare against PURITY_TOL), and how far the entropy series dips below 0.
+    compare against PURITY_TOL), and how far the entropy series dips below 0
+    (infinite when an entry is not finite, as a NaN left unformed would be).
     """
     n = length // 2
     residuals = {k: v for k, v in validate_correlation(C, n).items() if k != "ok"}
@@ -181,7 +184,8 @@ def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
         right = block_entropy(C[ell:, ell:])
         purity = max(purity, abs(left - right))
     residuals["purity_symmetry"] = purity
-    residuals["ee_nonnegative"] = float(max(0.0, -ee_series.min()))
+    residuals["ee_nonnegative"] = (float(max(0.0, -ee_series.min()))
+                                   if np.isfinite(ee_series).all() else float("inf"))
     return residuals
 
 
@@ -191,6 +195,8 @@ def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
 PLATEAU_TOL = 1e-4
 PLATEAU_WINDOW = 100
 PLATEAU_SIGMA = 20.0
+# The entries the test reads: the window and a kernel half-width either side.
+PLATEAU_SPAN = PLATEAU_WINDOW + 2 * int(np.ceil(4.0 * PLATEAU_SIGMA))
 
 
 def _is_int(v) -> bool:
@@ -250,7 +256,11 @@ class Schedule:
 
 @dataclass
 class TrajectoryRecord:
-    """One evolved trajectory: entropy series, sampled densities, final state."""
+    """One evolved trajectory: entropy series, sampled densities, final state.
+
+    ee_series holds one entry per step from t=0; the entries before the run's
+    entropy_from were not formed and are NaN.
+    """
 
     params: ModelParams
     dt: float
@@ -269,11 +279,10 @@ def _tail_plateau(ee: list) -> bool:
     the window ends one kernel half-width before the running end; one-sided
     smoothing at the live edge would leak the raw oscillation back in.
     """
-    pad = int(np.ceil(4.0 * PLATEAU_SIGMA))
-    need = PLATEAU_WINDOW + 2 * pad
-    if len(ee) < need:
+    if len(ee) < PLATEAU_SPAN:
         return False
-    core = gaussian_smooth(np.asarray(ee[-need:]), PLATEAU_SIGMA)[pad:-pad]
+    pad = (PLATEAU_SPAN - PLATEAU_WINDOW) // 2
+    core = gaussian_smooth(np.asarray(ee[-PLATEAU_SPAN:]), PLATEAU_SIGMA)[pad:-pad]
     return float(core.max() - core.min()) < PLATEAU_TOL
 
 
@@ -281,22 +290,34 @@ def run_trajectory(
     params: ModelParams,
     schedule: Schedule,
     on_sample: Optional[Callable[[int, SlaterState, np.ndarray], None]] = None,
+    entropy_from: int = 0,
 ) -> TrajectoryRecord:
     """Evolve the alternating state under the chain Hamiltonian.
 
-    Records the half-chain entropy every step (including t=0), from the
-    orbitals, and the density profile every sample_stride steps, from C.  With
-    early_stop enabled the run ends at the first multiple of PLATEAU_WINDOW
-    steps where the plateau test holds; converged is that test on the whole
-    series, whether or not the run stopped early.  on_sample(step, state, C),
-    if given, is called at every density sample for additional observables.
-    C is formed once per density sample; the last sample is the final state,
-    whose C is final_correlation.
+    Records the half-chain entropy, from the orbitals, at every step n >=
+    entropy_from (t=0 is step 0); the entries before it are NaN and cost
+    nothing.  entropy_from is lowered so that the last PLATEAU_SPAN entries,
+    which converged reads, are always formed, and to 0 under early_stop, whose
+    plateau test reads the series as it grows; the last entry is therefore
+    always formed.  The density profile is recorded every sample_stride
+    steps, from C.  With early_stop enabled the run ends at the first multiple
+    of PLATEAU_WINDOW steps where the plateau test holds; converged is that
+    test on the whole series, whether or not the run stopped early.
+    on_sample(step, state, C), if given, is called at every density sample for
+    additional observables.  C is formed once per density sample; the last
+    sample is the final state, whose C is final_correlation.
     """
+    if schedule.early_stop:
+        entropy_from = 0
+    entropy_from = max(0, min(entropy_from, schedule.steps + 1 - PLATEAU_SPAN))
     prop = make_propagator(build_hamiltonian(params), schedule.dt)
     state = init_z2_state(params.length)
-    ee = [half_chain_entropy_from_orbitals(state.orbitals)]
+    ee = []
     density_steps, densities = [], []
+
+    def record_entropy(n: int):
+        ee.append(half_chain_entropy_from_orbitals(state.orbitals) if n >= entropy_from
+                  else np.nan)
 
     def sample(n: int) -> np.ndarray:
         C = correlation_matrix(state)
@@ -306,13 +327,14 @@ def run_trajectory(
             on_sample(n, state, C)
         return C
 
+    record_entropy(0)
     C = sample(0)
     for n in range(1, schedule.steps + 1):
         try:
             state = step_qr(state, prop)
         except RankDeficiencyError as err:
             raise TrajectoryError(f"step {n}: {err}") from err
-        ee.append(half_chain_entropy_from_orbitals(state.orbitals))
+        record_entropy(n)
         if n % schedule.sample_stride == 0:
             C = sample(n)
         if schedule.early_stop and n % PLATEAU_WINDOW == 0 and _tail_plateau(ee):

@@ -12,7 +12,12 @@ last.  collapse.json is the one record of the collapse fits: a fit replaces only
 its own gamma's entry, and boundaries.csv reads delta_c from it.  The manifest
 carries the config and runtime of the verb that wrote it; a verb that runs no
 grid copies the grid's config (as grid_config) and row errors, which set the
-status, from the manifest already in the directory.  Runs are deterministic:
+status, from the manifest already in the directory; each such verb reads that
+manifest, like every input it reads, before its first write.  A point's
+traj_*.npz, the whole trajectory, is written only under save_trajectories:
+every other output reads the tail of the entropy series or the final state,
+so without it each trajectory forms the half-chain entropy only over the
+tail that the steady reducer reads.  Runs are deterministic:
 at a fixed BLAS thread count, a rerun with an identical config (including
 seed) produces byte-identical files, independent of the worker count.
 Wall-clock timing is therefore only recorded when `record_timings` is enabled,
@@ -34,7 +39,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
-                           steady_state_entropy)
+                           steady_state_entropy, steady_state_start)
 from .model import Boundary, ModelParams, build_hamiltonian
 from .propagation import (Schedule, TrajectoryError, _check_field_types, _is_number,
                           run_trajectory)
@@ -290,6 +295,9 @@ ROW_COLUMNS = [
 def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> dict:
     """Run one trajectory and write the point's own files into the output directory.
 
+    The half-chain entropy is formed only from the first step the steady
+    reducer reads (steady_state_start), or at every step under
+    save_trajectories, so a saved traj_*.npz holds a whole, finite ee_series.
     Returns the point's row: its scalars, its mutual information and CFT fit,
     but no array, so a pool worker sends back only a few hundred bytes.  A
     failing trajectory is recorded in the row instead of raising; a failing
@@ -315,15 +323,18 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     else:
         on_sample = None
 
+    sm = config.smoothing
+    entropy_from = 0 if config.save_trajectories else steady_state_start(
+        config.schedule.steps + 1, sm.sigma, sm.tail_fraction)
     try:
         params = ModelParams(gamma=gamma, delta=delta, length=length,
                              boundary=config.boundary)
-        record = run_trajectory(params, config.schedule, on_sample=on_sample)
+        record = run_trajectory(params, config.schedule, on_sample=on_sample,
+                                entropy_from=entropy_from)
     except (TrajectoryError, ValueError) as err:
         result["error"] = str(err)
         return result
 
-    sm = config.smoothing
     result["s_half_steady"] = steady_state_entropy(record, sm.sigma, sm.tail_fraction)
     result["s_half_raw_final"] = float(record.ee_series[-1])
     result["converged"] = bool(record.converged)
@@ -350,7 +361,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         write_density_csv(outdir / f"density_{tag}.csv", record.density_steps,
                           record.density_series)
 
-    if config.save_trajectories or config.analyses.cft_fit or config.analyses.density_movie:
+    if config.save_trajectories:
         detail = {
             "gamma": np.float64(gamma),
             "delta": np.float64(delta),
@@ -372,12 +383,11 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
 
 
 def read_trajectory(path: Path, names: tuple) -> dict:
-    """The named arrays of a traj_*.npz file, then its `length` as an int, by name.
+    """The named arrays of a traj_*.npz file, then its `length` as an int, by name (for verify).
 
     A file that is missing, is not .npz data, lacks one of these arrays or holds
     one of the wrong shape (`length` an integer scalar L, the others as `shape_ok`
-    says) raises OSError naming the file and the arrays.  density_steps is checked
-    against density_series, so a caller that names it names both.
+    says) raises OSError naming the file and the arrays.
     """
     wanted = tuple(dict.fromkeys((*names, "length")))
     with open(path, "rb") as fh:  # a missing file is an I/O error (exit 3)
@@ -394,7 +404,6 @@ def read_trajectory(path: Path, names: tuple) -> dict:
     L = arrays["length"] = int(arrays["length"])
     shape_ok = {"final_correlation": lambda s: s == (L, L),
                 "density_series": lambda s: s[1:] == (L,) and s[0] > 0,  # one sample or more
-                "density_steps": lambda s: s == arrays["density_series"].shape[:1],
                 "ee_series": lambda s: len(s) == 1 and s[0] > 0}
     wrong = [n for n in wanted if n != "length" and not shape_ok[n](arrays[n].shape)]
     if wrong:
@@ -604,23 +613,29 @@ def _runtime() -> dict:
     }
 
 
-def _finish(config: SweepConfig, outdir: Path, results: list | None = None) -> dict:
+def _grid_record(results: list) -> dict:
+    """A grid run's record for its manifest: the rows that failed."""
+    return {"row_errors": [
+        {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
+        for r in results if r["error"] is not None]}
+
+
+def _earlier_grid_record(outdir: Path) -> dict:
+    """The grid's record from the manifest already in `outdir`, for a verb that runs
+    no grid: its row errors, and its config as grid_config.  Read it before the
+    verb's first write, so a manifest that does not parse stops the verb first."""
+    earlier = read_json(outdir / "manifest.json")
+    return {"grid_config": earlier.get("grid_config", earlier.get("config")),
+            "row_errors": earlier.get("row_errors", [])}
+
+
+def _finish(config: SweepConfig, outdir: Path, record: dict) -> dict:
     """Write manifest.json, last of the run's files, and return it.
 
-    It lists every file in `outdir` that matches RUN_OUTPUTS, with its hash.
-    `results` are the grid's rows, whose errors set the status.  A verb that
-    runs no grid passes None and copies the grid's record from the manifest
-    already in `outdir`: its row errors, and its config as grid_config.
+    It lists every file in `outdir` that matches RUN_OUTPUTS, with its hash,
+    beside `record`, the grid's record (_grid_record or _earlier_grid_record),
+    whose row errors set the status.
     """
-    path = outdir / "manifest.json"
-    if results is None:
-        earlier = read_json(path)
-        record = {"grid_config": earlier.get("grid_config", earlier.get("config")),
-                  "row_errors": earlier.get("row_errors", [])}
-    else:
-        record = {"row_errors": [
-            {"gamma": r["gamma"], "delta": r["delta"], "L": r["L"], "error": r["error"]}
-            for r in results if r["error"] is not None]}
     owned = {p for pattern in RUN_OUTPUTS for p in outdir.glob(pattern)}
     manifest = {
         "config": config_as_dict(config),
@@ -632,7 +647,7 @@ def _finish(config: SweepConfig, outdir: Path, results: list | None = None) -> d
             for p in sorted(owned, key=lambda p: p.name)
         ],
     }
-    write_json(path, manifest)
+    write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -649,7 +664,7 @@ def run_sweep(config: SweepConfig) -> dict:
     outdir = _start_run(config)
     results, fractal = _run_grid(config)
     _emit_results(config, outdir, results, fractal)
-    return _finish(config, outdir, results)
+    return _finish(config, outdir, _grid_record(results))
 
 
 def run_phase_diagram(config: SweepConfig) -> dict:
@@ -672,7 +687,7 @@ def run_phase_diagram(config: SweepConfig) -> dict:
                  for r in results if r["error"] is None and r["L"] == l_max]
     write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
     _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, l_max))
-    return _finish(config, outdir, results)
+    return _finish(config, outdir, _grid_record(results))
 
 
 def run_spectral(config: SweepConfig) -> dict:
@@ -683,9 +698,10 @@ def run_spectral(config: SweepConfig) -> dict:
     the directory's other run files stay.
     """
     outdir = _output_dir(config)
+    record = _earlier_grid_record(outdir)
     _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, max(config.sizes)))
     _emit_fractal(outdir, _fractal_rows(config))
-    return _finish(config, outdir)
+    return _finish(config, outdir, record)
 
 
 def refit_collapse(config: SweepConfig) -> dict:
@@ -703,8 +719,9 @@ def refit_collapse(config: SweepConfig) -> dict:
     boundaries = outdir / "boundaries.csv"
     analytic = ("gamma", "delta_i", "delta_ii")
     kept = read_csv(boundaries, dict.fromkeys(analytic, float)) if boundaries.exists() else []
+    record = _earlier_grid_record(outdir)
     fits = _emit_collapse(config, outdir, rows)
     if kept:
         _emit_boundaries(outdir, [[r[k] for k in analytic] for r in kept])
-    _finish(config, outdir)
+    _finish(config, outdir, record)
     return fits

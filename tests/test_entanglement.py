@@ -15,6 +15,7 @@ from starkchain import (
     run_trajectory,
     standard_probe_regions,
     steady_state_entropy,
+    steady_state_start,
     subsystem_entropy,
 )
 
@@ -225,3 +226,22 @@ def test_half_chain_entropy_from_orbitals_equals_full_correlation():
             half_chain_entropy(bad)
         with pytest.raises(ValueError, match="nonempty"):
             half_chain_entropy_from_orbitals(bad)
+
+
+@pytest.mark.parametrize("n,sigma,tail_fraction", [
+    (2001, 20.0, 0.25), (10001, 20.0, 0.25), (301, 5.0, 0.5), (1000, 7.3, 0.1), (50, 20.0, 0.25),
+])
+def test_steady_state_entropy_reads_from_steady_state_start_on(n, sigma, tail_fraction):
+    series = np.random.default_rng(n).random(n)
+    start = steady_state_start(n, sigma, tail_fraction)
+    n_tail = max(1, int(round(tail_fraction * n)))
+    assert start == max(0, n - n_tail - int(np.ceil(4.0 * sigma)))
+    want = steady_state_entropy(series, sigma, tail_fraction)
+    cut = series.copy()
+    cut[:start] = np.nan
+    shifted = np.concatenate([[0.0], cut])[1:]  # the same entries one float off the buffer start
+    for other in (cut, shifted):
+        assert steady_state_entropy(other, sigma, tail_fraction) == want
+    if start > 0:  # and the entry at the start is read
+        cut[start] = np.nan
+        assert np.isnan(steady_state_entropy(cut, sigma, tail_fraction))

@@ -73,7 +73,7 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
     config.write_text(json.dumps({
         "gamma_values": [-0.5], "delta_values": [0.1, 0.2], "sizes": [8],
         "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
-        "save_trajectories": True}))
+        "analyses": {"cft_fit": True}, "save_trajectories": True}))
     # enough sizes and deltas for the collapse fits to run their simplex
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({

@@ -292,6 +292,28 @@ def test_trajectory_entropy_equals_full_correlation_replay(gamma, delta, L, boun
     assert np.array_equal(rec.final_correlation, C)
 
 
+@pytest.mark.parametrize("delta,boundary", [(0.1, Boundary.OPEN), (0.001, Boundary.PERIODIC)])
+@pytest.mark.parametrize("entropy_from,early_stop,formed_from", [
+    (0, False, 0), (200, False, 200),
+    # the last PLATEAU_SPAN = 260 of the 601 entries are always formed, for converged
+    (500, False, 341), (10 ** 6, False, 341),
+    (10 ** 6, True, 0),  # the plateau stop reads the series as it grows
+])
+def test_entropy_from_leaves_every_formed_entry_and_the_state_bit_identical(
+        delta, boundary, entropy_from, early_stop, formed_from):
+    params = ModelParams(-0.5, delta, 16, boundary)
+    schedule = Schedule(dt=10.0, steps=600, sample_stride=50, early_stop=early_stop)
+    full = run_trajectory(params, schedule)
+    part = run_trajectory(params, schedule, entropy_from=entropy_from)
+    assert np.isnan(part.ee_series[:formed_from]).all()
+    assert part.ee_series[formed_from:].tolist() == full.ee_series[formed_from:].tolist()
+    assert np.isfinite(full.ee_series).all() and part.steps == full.steps
+    assert part.converged == full.converged
+    assert np.array_equal(part.density_steps, full.density_steps)
+    assert np.array_equal(part.density_series, full.density_series)
+    assert np.array_equal(part.final_correlation, full.final_correlation)
+
+
 @pytest.mark.parametrize("steps,stride,early_stop", [
     (130, 25, False), (125, 25, False), (4000, 70, True),
 ])

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 import scipy
 
-from starkchain import SweepConfig, config_from_dict, run_phase_diagram, run_spectral, run_sweep
+from starkchain import (ModelParams, SweepConfig, config_from_dict, run_phase_diagram,
+                        run_spectral, run_sweep, run_trajectory)
 from starkchain.cli import build_parser, main as cli_main
 from starkchain.export import export_figure_data
 from starkchain.scaling import power_law_fit
+from starkchain import propagation
 from starkchain import sweep as sweep_mod
 from starkchain.sweep import (ROW_COLUMNS, Analyses, CollapseOptions, Schedule, Smoothing,
                               point_tag, write_csv)
@@ -241,8 +243,7 @@ def test_exports_and_formats(tmp_path):
         "delta_values": [0.1, 0.15],
         "sizes": [16],
         "schedule": {"dt": 10.0, "steps": 150, "sample_stride": 30},
-        "analyses": {"mutual_info": True, "density_movie": True},
-        "save_trajectories": True,
+        "analyses": {"mutual_info": True, "cft_fit": True, "density_movie": True},
         "output_dir": str(out),
     })
     run_sweep(cfg)
@@ -626,8 +627,8 @@ def test_simulate_clears_earlier_analysis_outputs(tmp_path):
         ["export", "--kind", "entropy_profile", "--output", str(out), *point],
     ]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**base, "save_trajectories": True,
-                                    "analyses": {"collapse": True, "mutual_info": True}}))
+    cfg_path.write_text(json.dumps({**base, "save_trajectories": True, "analyses": {
+        "collapse": True, "mutual_info": True, "cft_fit": True}}))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
     assert (out / "collapse_g-0.5.csv").exists()
     assert [cli_main(call) for call in exports] == [0, 0, 0]
@@ -660,6 +661,45 @@ def test_sweep_and_export_tables_are_byte_equal(tmp_path):
         for name in ("profile", "density"):
             ours = (out / f"{name}_{tag}.csv").read_bytes()
             assert ours == (out / f"fig_{name}_{tag}.csv").read_bytes(), (name, L)
+
+
+# Long enough that the steady reducer reads only the tail of each entropy
+# series: the last 500 + 80 of its 2,001 entries.
+TAIL_READ = {
+    **FAST,
+    "delta_values": [0.1, 0.3],
+    "sizes": [8, 16, 24],
+    "schedule": {"dt": 10.0, "steps": 2000, "sample_stride": 100},
+    "analyses": {"mutual_info": True, "cft_fit": True, "density_movie": True,
+                 "power_law": True},
+}
+
+
+def test_a_sweep_writes_the_same_tables_whether_or_not_it_saves_trajectories(tmp_path):
+    files = {}
+    for save in (False, True):
+        out = tmp_path / f"save_{save}"
+        manifest = run_sweep(config_from_dict({**TAIL_READ, "output_dir": str(out),
+                                               "save_trajectories": save}))
+        files[save] = {f["path"]: f["sha256"] for f in manifest["files"]}
+    saved = {f"traj_{point_tag(-0.5, d, L)}.npz" for d in (0.1, 0.3) for L in (8, 16, 24)}
+    assert saved | {"power_law.json", "mutual_info.csv", "cft_fit.json"} <= set(files[True])
+    assert files[False] == {name: h for name, h in files[True].items() if name not in saved}
+    assert not list((tmp_path / "save_False").glob("traj_*"))
+    for name in saved:  # a saved trajectory holds every entry of its entropy series
+        with np.load(tmp_path / "save_True" / name) as data:
+            assert data["ee_series"].shape == (2001,) and np.isfinite(data["ee_series"]).all()
+
+
+@pytest.mark.parametrize("save, formed", [(False, 580), (True, 2001)])
+def test_a_point_forms_the_entropy_only_where_it_is_read(tmp_path, monkeypatch, save, formed):
+    calls = []
+    real = propagation.half_chain_entropy_from_orbitals
+    monkeypatch.setattr(propagation, "half_chain_entropy_from_orbitals",
+                        lambda Q: calls.append(Q.shape) or real(Q))
+    sweep_mod._run_point(config_from_dict({**TAIL_READ, "output_dir": str(tmp_path),
+                                           "save_trajectories": save}), -0.5, 0.1, 8)
+    assert len(calls) == formed
 
 
 def test_power_law_fits_each_point_with_three_positive_sizes(tmp_path, monkeypatch):
@@ -905,7 +945,7 @@ def test_spectral_into_a_partial_sweep_keeps_its_files_and_status(tmp_path, monk
     assert manifest["status"] == "partial" and manifest["row_errors"] == swept["row_errors"]
     assert {f["path"] for f in manifest["files"]} == {
         "sweep.csv", "cft_fit.json", f"profile_{point_tag(-0.5, 0.15, 8)}.csv",
-        f"traj_{point_tag(-0.5, 0.15, 8)}.npz", "fractal.csv", "boundaries.csv"}
+        "fractal.csv", "boundaries.csv"}
     # without an earlier manifest there is no failed row to keep
     fresh = run_spectral(config_from_dict({**raw, "output_dir": str(tmp_path / "fresh")}))
     assert fresh["status"] == "complete" and fresh["row_errors"] == []
@@ -1039,21 +1079,8 @@ def test_collapse_on_a_sweep_without_rows_clears_the_fitted_boundaries(phase_dir
     assert_manifest_describes(phase_dir)
 
 
-# The CLI calls that read a saved trajectory back, and the arrays each reads
-# besides length.
-TRAJECTORY_READERS = {
-    "verify": ("final_correlation", "density_series", "ee_series"),
-    "entropy_profile": ("final_correlation",),
-    "density_heatmap": ("density_steps", "density_series"),
-}
-
-
-def trajectory_reader_argv(reader: str, path: Path) -> list:
-    """The argv of a TRAJECTORY_READERS call on `path`, a traj_*.npz of (-0.5, 0.15, 4)."""
-    if reader == "verify":
-        return ["verify", "--input", str(path)]
-    return ["export", "--kind", reader, "--output", str(path.parent),
-            "--gamma", "-0.5", "--delta", "0.15", "--size", "4"]
+# The arrays verify, the one reader of a saved trajectory, reads besides length.
+VERIFY_ARRAYS = ("final_correlation", "density_series", "ee_series")
 
 
 def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, capsys):
@@ -1065,12 +1092,11 @@ def test_cli_verify_on_a_file_that_is_not_a_trajectory_is_an_io_error(tmp_path, 
         path = tmp_path / name / f"traj_{point_tag(-0.5, 0.15, 4)}.npz"
         path.parent.mkdir()
         path.write_bytes(payload)
-        for reader, arrays in TRAJECTORY_READERS.items():
-            assert cli_main(trajectory_reader_argv(reader, path)) == 3, (name, reader)
-            err = capsys.readouterr().err
-            assert str(path) in err, (name, reader)
-            if name == "other":  # the message names the missing arrays
-                assert f"it lacks {', '.join(arrays)}, length" in err, reader
+        assert cli_main(["verify", "--input", str(path)]) == 3, name
+        err = capsys.readouterr().err
+        assert str(path) in err, name
+        if name == "other":  # the message names the missing arrays
+            assert f"it lacks {', '.join(VERIFY_ARRAYS)}, length" in err
 
 
 def test_cli_verify_on_a_trajectory_of_the_wrong_shapes_is_an_io_error(tmp_path, capsys):
@@ -1080,34 +1106,39 @@ def test_cli_verify_on_a_trajectory_of_the_wrong_shapes_is_an_io_error(tmp_path,
     assert cli_main(["verify", "--input", str(bad)]) == 3
     assert (f"{bad} is not a saved trajectory: wrong shape of final_correlation, density_series"
             in capsys.readouterr().err)
-    # a sound trajectory with one array reshaped names that array alone, in every
-    # reader that reads it: no sample, no entropy and a step count that is not the
-    # sample count are wrong shapes too
+    # a sound trajectory with one array reshaped names that array alone: no
+    # sample and no entropy are wrong shapes too
     good = {"final_correlation": np.eye(4) * 0.5, "density_series": np.full((2, 4), 0.5),
-            "density_steps": np.array([0, 20]), "ee_series": np.zeros(2), "length": 4}
-    for name, reshaped in (
-            ("final_correlation", {"final_correlation": (4, 2)}),
-            ("density_series", {"density_series": (2, 3)}),
-            ("density_series", {"density_series": (0, 4), "density_steps": (0,)}),
-            ("density_steps", {"density_steps": (3,)}),
-            ("density_steps", {"density_steps": (1,)}),
-            ("ee_series", {"ee_series": (2, 1)}),
-            ("ee_series", {"ee_series": (0,)}),
-            ("length", {"length": (1,)})):
-        np.savez(bad, **{**good, **{k: np.zeros(shape) for k, shape in reshaped.items()}})
-        for reader, arrays in TRAJECTORY_READERS.items():
-            if name in (*arrays, "length"):
-                assert cli_main(trajectory_reader_argv(reader, bad)) == 3, (reshaped, reader)
-                err = capsys.readouterr().err.rstrip()
-                assert err.endswith(f"{bad} is not a saved trajectory: wrong shape of {name}"), (
-                    reshaped, reader)
+            "ee_series": np.zeros(2), "length": 4}
+    for name, shape in (("final_correlation", (4, 2)), ("density_series", (2, 3)),
+                        ("density_series", (0, 4)), ("ee_series", (2, 1)),
+                        ("ee_series", (0,)), ("length", (1,))):
+        np.savez(bad, **{**good, name: np.zeros(shape)})
+        assert cli_main(["verify", "--input", str(bad)]) == 3, (name, shape)
+        err = capsys.readouterr().err.rstrip()
+        assert err.endswith(f"{bad} is not a saved trajectory: wrong shape of {name}"), (
+            name, shape)
 
 
-def broken_tables(path: Path, column: str) -> dict:
+def test_cli_verify_fails_a_trajectory_with_a_nan_entropy(tmp_path, capsys):
+    rec = run_trajectory(ModelParams(-0.5, 0.15, 8), Schedule(dt=10.0, steps=40,
+                                                             sample_stride=20))
+    path = tmp_path / "traj.npz"
+    ee = rec.ee_series.copy()
+    ee[1] = np.nan
+    np.savez(path, final_correlation=rec.final_correlation,
+             density_series=rec.density_series, ee_series=ee, length=8)
+    assert cli_main(["verify", "--input", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines if "ee_nonnegative" in line] == [
+        ["FAIL", "ee_nonnegative"]]
+
+
+def broken_tables(path: Path, column: str, blank: str = "delta") -> dict:
     """The CSV at `path` broken three ways, by name: without `column`, with an
-    empty delta cell in its last row, and with its last row one cell short."""
+    empty `blank` cell in its last row, and with its last row one cell short."""
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-    drop, delta = header.index(column), header.index("delta")
+    drop, emptied = header.index(column), header.index(blank)
 
     def text(lines):
         return "".join(",".join(cells) + "\n" for cells in lines)
@@ -1115,41 +1146,77 @@ def broken_tables(path: Path, column: str) -> dict:
     return {
         f"no {column}": text([c for i, c in enumerate(cells) if i != drop]
                              for cells in (header, *rows)),
-        "empty delta": text([header, *rows[:-1],
-                             ["" if i == delta else c for i, c in enumerate(rows[-1])]]),
+        f"empty {blank}": text([header, *rows[:-1],
+                                ["" if i == emptied else c for i, c in enumerate(rows[-1])]]),
         "short row": text([header, *rows[:-1], rows[-1][:-1]]),
     }
 
 
-@pytest.mark.parametrize("source, column, calls", [
-    ("sweep.csv", "s_half_steady", (["collapse"], ["export", "--kind", "s_vs_delta"])),
-    ("fractal.csv", "gamma_bar", (["export", "--kind", "fractal_map"],)),
+def misshapen_tables(path: Path) -> dict:
+    """The point table at `path` with every cell sound but its rows not those of
+    its size, by name: no row, its last row gone, its first two rows swapped,
+    and its first cell (the cut, or the step of the first sample) changed."""
+    header, *rows = path.read_text().splitlines()
+    first = rows[0].split(",")
+    return {name: "\n".join(lines) + "\n" for name, lines in (
+        ("no row", [header]), ("row gone", [header, *rows[:-1]]),
+        ("rows swapped", [header, rows[1], rows[0], *rows[2:]]),
+        ("first cell", [header, ",".join(["7", *first[1:]]), *rows[1:]]))}
+
+
+POINT_4 = ["--gamma", "-0.5", "--delta", "0.15", "--size", "4"]
+
+
+@pytest.mark.parametrize("source, column, blank, calls", [
+    ("sweep.csv", "s_half_steady", "delta",
+     (["collapse"], ["export", "--kind", "s_vs_delta"])),
+    ("fractal.csv", "gamma_bar", "delta", (["export", "--kind", "fractal_map"],)),
+    (f"profile_{point_tag(-0.5, 0.15, 4)}.csv", "s_l", "l",
+     (["export", "--kind", "entropy_profile", *POINT_4],)),
+    (f"density_{point_tag(-0.5, 0.15, 4)}.csv", "n", "site",
+     (["export", "--kind", "density_heatmap", *POINT_4],)),
 ])
 def test_reading_a_malformed_table_is_an_io_error_naming_the_file(tmp_path, capsys, source,
-                                                                   column, calls):
+                                                                   column, blank, calls):
     good = tmp_path / "good.csv"
     if source == "sweep.csv":
         write_csv(good, ROW_COLUMNS, synthetic_collapse_rows(-0.5))
-    else:
+    elif source == "fractal.csv":
         write_csv(good, ["gamma", "delta", "L", "gamma_bar"],
                   [[-0.5, d, 16, 0.5] for d in (0.1, 0.2, 0.3)])
+    elif source.startswith("profile"):
+        sweep_mod.write_profile_csv(good, np.array([[1, 0.3], [2, 0.6], [3, 0.3]]), 4)
+    else:
+        sweep_mod.write_density_csv(good, np.array([0, 20]), np.array([[0, 1, 0, 1],
+                                                                       [0.4, 0.6, 0.3, 0.7]]))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**PHASE, "gamma_values": [-0.5]}))
-    for name, text in broken_tables(good, column).items():
+    point_table = source.startswith(("profile", "density"))
+    cases = {name: (text, ", line ") for name, text in broken_tables(good, column, blank).items()}
+    if point_table:  # the sweep's tables of one point: one row per cut, or per sample and site
+        cases.update((name, (text, " is not a ")) for name, text in misshapen_tables(good).items())
+    for name, (text, says) in cases.items():
         out = tmp_path / name.replace(" ", "_")
         out.mkdir()
         (out / source).write_text(text)
         for call in calls:
             config = ["--config", str(cfg)] if call[0] == "collapse" else []
             assert cli_main([*call, "--output", str(out), *config]) == 3, (name, call)
-            assert f"{out / source}, line " in capsys.readouterr().err, (name, call)
+            assert f"{out / source}{says}" in capsys.readouterr().err, (name, call)
+            assert not any(p.name.startswith("fig_") for p in out.iterdir()), (name, call)
+    if point_table:  # the sound table is copied as it is
+        (tmp_path / source).write_bytes(good.read_bytes())
+        assert cli_main([*calls[0], "--output", str(tmp_path)]) == 0
+        assert (tmp_path / f"fig_{source}").read_bytes() == good.read_bytes()
 
 
 def test_a_malformed_input_stops_collapse_and_spectral_before_they_write(phase_dir):
     kept = read_bytes_map(phase_dir)
     for verb, name, text in (("collapse", "boundaries.csv", "gamma,delta_i,delta_ii\n-0.5,0.1\n"),
                              ("collapse", "collapse.json", "["),
-                             ("spectral", "collapse.json", "[]")):
+                             ("spectral", "collapse.json", "[]"),
+                             ("collapse", "manifest.json", "{"),
+                             ("spectral", "manifest.json", "{")):
         (phase_dir / name).write_text(text)
         assert run_verb(verb, PHASE, phase_dir) == 3, (verb, name)
         assert read_bytes_map(phase_dir) == {**kept, name: text.encode()}, (verb, name)
