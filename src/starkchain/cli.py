@@ -22,25 +22,30 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, *flags: str):
     from .sweep import PRESETS
 
-    p.add_argument("--config", required=True, help="JSON sweep configuration")
-    p.add_argument("--output", help="output directory (overrides config)")
-    p.add_argument("--workers", type=int, help="parallel workers (overrides config)")
-    p.add_argument("--preset", choices=tuple(PRESETS), help="schedule preset")
-    p.add_argument("--seed", type=int, help="collapse/bootstrap seed (overrides config)")
+    options = {
+        "--config": {"required": True, "help": "JSON sweep configuration"},
+        "--output": {"help": "output directory (overrides config)"},
+        "--workers": {"type": int, "help": "parallel workers (overrides config)"},
+        "--preset": {"choices": tuple(PRESETS), "help": "schedule preset"},
+        "--seed": {"type": int, "help": "collapse/bootstrap seed (overrides config)"},
+    }
+    for flag in ("--config", "--output", *flags):
+        p.add_argument(flag, **options[flag])
 
 
 def _load(args):
     from .sweep import load_config
 
-    config = load_config(args.config, preset=args.preset)
+    given = vars(args)  # a verb's namespace holds only the flags it takes
+    config = load_config(args.config, preset=given.get("preset"))
     if args.output:
         config = replace(config, output_dir=args.output)
-    if args.workers is not None:
+    if given.get("workers") is not None:
         config = replace(config, workers=args.workers)
-    if args.seed is not None:
+    if given.get("seed") is not None:
         config = replace(
             config, collapse_options=replace(config.collapse_options, seed=args.seed)
         )
@@ -108,8 +113,7 @@ def cmd_verify(args) -> int:
     from .propagation import PURITY_TOL, trajectory_invariants
     from .sweep import read_trajectory
 
-    arrays = ("final_correlation", "density_series", "ee_series", "length")
-    checks = trajectory_invariants(*read_trajectory(Path(args.input), arrays).values())
+    checks = trajectory_invariants(**read_trajectory(Path(args.input)))  # arrays by name
     ok = True
     for name, value in checks.items():
         passed = value <= (PURITY_TOL if name == "purity_symmetry" else args.atol)
@@ -127,14 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("phase-diagram", cmd_phase_diagram),
-        ("collapse", cmd_collapse),
-        ("spectral", cmd_spectral),
+    grid = ("--workers", "--preset", "--seed")  # collapse and spectral run no grid
+    for name, fn, flags in (
+        ("simulate", cmd_simulate, grid),
+        ("phase-diagram", cmd_phase_diagram, grid),
+        ("collapse", cmd_collapse, ("--seed",)),
+        ("spectral", cmd_spectral, ()),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, *flags)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("export")

@@ -87,7 +87,10 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
         source, filters, columns = _ROW_TABLES[kind]
         wanted = {"gamma": gamma, "delta": delta}
         types = {**dict.fromkeys(filters, float), **{col: cast for col, cast, _ in columns}}
-        rows = [r for r in read_csv(outdir / source, types)
+        rows = read_csv(outdir / source, types)
+        if gamma is None and len({r["gamma"] for r in rows}) > 1:  # the output has no gamma column
+            raise ValueError(f"{kind} export needs --gamma: {source} holds more than one gamma")
+        rows = [r for r in rows
                 if all(wanted[k] is None or np.isclose(r[k], wanted[k]) for k in filters)]
         rows.sort(key=lambda r: (r["delta"], r["L"]))
         path = Path(out_path) if out_path else outdir / f"fig_{kind}.csv"

@@ -144,14 +144,16 @@ def validate_correlation(C: np.ndarray, n_particles: int, atol: float = 1e-8) ->
     """Residuals of the correlation-matrix invariants (pure Slater state).
 
     Returns a dict with hermiticity, idempotency, trace and spectrum-range
-    residuals plus an 'ok' flag comparing each against atol.
+    residuals plus an 'ok' flag comparing each against atol.  The spectrum
+    range is infinite when an eigenvalue is not finite.
     """
     C = np.asarray(C)
     herm = float(np.max(np.abs(C - C.conj().T)))
     idem = float(np.max(np.abs(C @ C - C)))
     trace = float(abs(np.trace(C).real - n_particles))
     lam = np.linalg.eigvalsh(0.5 * (C + C.conj().T))
-    spectrum = float(max(0.0, -lam.min(), lam.max() - 1.0))
+    spectrum = (float(max(0.0, -lam.min(), lam.max() - 1.0))
+                if np.isfinite(lam).all() else float("inf"))  # max() drops a NaN
     residuals = {
         "hermiticity": herm,
         "idempotency": idem,
@@ -165,7 +167,7 @@ def validate_correlation(C: np.ndarray, n_particles: int, atol: float = 1e-8) ->
 PURITY_TOL = 1e-6
 
 
-def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
+def trajectory_invariants(final_correlation: np.ndarray, density_series: np.ndarray,
                           ee_series: np.ndarray, length: int) -> dict:
     """Residuals of a saved trajectory's invariants, by name, in report order.
 
@@ -175,7 +177,7 @@ def trajectory_invariants(C: np.ndarray, density_series: np.ndarray,
     compare against PURITY_TOL), and how far the entropy series dips below 0
     (infinite when an entry is not finite, as a NaN left unformed would be).
     """
-    n = length // 2
+    C, n = final_correlation, length // 2
     residuals = {k: v for k, v in validate_correlation(C, n).items() if k != "ok"}
     residuals["density_sum"] = float(np.max(np.abs(density_series.sum(axis=1) - n)))
     purity = 0.0

@@ -8,18 +8,18 @@ every verb that writes into the directory (those two, spectral, collapse) ends
 by writing manifest.json, which lists each file in the directory that matches
 them with its content hash.  Each grid point's files are written by the
 process that ran it as soon as the point finishes; the manifest is written
-last.  collapse.json is the one record of the collapse fits: a fit replaces only
-its own gamma's entry, and boundaries.csv reads delta_c from it.  The manifest
-carries the config and runtime of the verb that wrote it; a verb that runs no
-grid copies the grid's config (as grid_config) and row errors, which set the
-status, from the manifest already in the directory; each such verb reads that
-manifest, like every input it reads, before its first write.  A point's
-traj_*.npz, the whole trajectory, is written only under save_trajectories:
-every other output reads the tail of the entropy series or the final state,
-so without it each trajectory forms the half-chain entropy only over the
-tail that the steady reducer reads.  Runs are deterministic:
-at a fixed BLAS thread count, a rerun with an identical config (including
-seed) produces byte-identical files, independent of the worker count.
+last.  collapse.json alone holds the collapse fits, delta_c among them (a fit
+replaces only its gamma's entry); boundaries.csv holds only the analytic
+boundaries, and its writer reads no file.  The manifest carries the config and
+runtime of the verb that wrote it; a verb that runs no grid copies the grid's
+config (as grid_config) and row errors, which set the status, from the manifest
+already in the directory, and reads it, like every input it reads, before its
+first write.  A point's traj_*.npz, the whole trajectory, is written only under
+save_trajectories: every other output reads the tail of the entropy series or
+the final state, so without it each trajectory forms the half-chain entropy
+only over the tail that the steady reducer reads.  Runs are deterministic: at a
+fixed BLAS thread count, a rerun with an identical config (including seed)
+produces byte-identical files, independent of the worker count.
 Wall-clock timing is therefore only recorded when `record_timings` is enabled,
 since real timings vary between runs.
 """
@@ -382,14 +382,14 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     return result
 
 
-def read_trajectory(path: Path, names: tuple) -> dict:
-    """The named arrays of a traj_*.npz file, then its `length` as an int, by name (for verify).
+def read_trajectory(path: Path) -> dict:
+    """A traj_*.npz file's final_correlation, density_series, ee_series and `length` (an int).
 
     A file that is missing, is not .npz data, lacks one of these arrays or holds
     one of the wrong shape (`length` an integer scalar L, the others as `shape_ok`
     says) raises OSError naming the file and the arrays.
     """
-    wanted = tuple(dict.fromkeys((*names, "length")))
+    wanted = ("final_correlation", "density_series", "ee_series", "length")
     with open(path, "rb") as fh:  # a missing file is an I/O error (exit 3)
         try:
             data = np.load(fh)
@@ -405,7 +405,7 @@ def read_trajectory(path: Path, names: tuple) -> dict:
     shape_ok = {"final_correlation": lambda s: s == (L, L),
                 "density_series": lambda s: s[1:] == (L,) and s[0] > 0,  # one sample or more
                 "ee_series": lambda s: len(s) == 1 and s[0] > 0}
-    wrong = [n for n in wanted if n != "length" and not shape_ok[n](arrays[n].shape)]
+    wrong = [n for n, ok in shape_ok.items() if not ok(arrays[n].shape)]
     if wrong:
         raise OSError(f"{path} is not a saved trajectory: wrong shape of {', '.join(wrong)}")
     return arrays
@@ -575,26 +575,17 @@ def _emit_fractal(outdir: Path, rows: list):
     write_csv(outdir / "fractal.csv", ["gamma", "delta", "L", "gamma_bar"], rows)
 
 
-def _analytic_boundaries(gammas, l_max: int) -> list:
-    """(gamma, delta_i, delta_ii) per gamma at size l_max, NaN where undefined."""
+def _emit_boundaries(outdir: Path, gammas, l_max: int):
+    """boundaries.csv: the analytic (gamma, delta_i, delta_ii) per gamma at size l_max,
+    NaN where undefined.  It reads nothing; the fitted delta_c is in collapse.json."""
     rows = []
     for g in sorted(gammas):
         try:
             pb = phase_boundaries(g, l_max)
-            rows.append((g, pb.delta_i, pb.delta_ii))
+            rows.append([g, pb.delta_i, pb.delta_ii])
         except ValueError:
-            rows.append((g, float("nan"), float("nan")))
-    return rows
-
-
-def _emit_boundaries(outdir: Path, analytic: list):
-    """boundaries.csv: each (gamma, delta_i, delta_ii) of `analytic` beside that
-    gamma's delta_c from collapse.json (NaN without an entry)."""
-    fits, nan = read_json(outdir / "collapse.json"), float("nan")
-    rows = [[g, *(fits.get(f"{g:g}", {}).get(k, nan) for k in ("delta_c", "delta_c_err")), d1, d2]
-            for g, d1, d2 in analytic]
-    write_csv(outdir / "boundaries.csv",
-              ["gamma", "delta_c", "delta_c_err", "delta_i", "delta_ii"], rows)
+            rows.append([g, float("nan"), float("nan")])
+    write_csv(outdir / "boundaries.csv", ["gamma", "delta_i", "delta_ii"], rows)
 
 
 # Environment variables that set the BLAS thread count.  Past double precision's
@@ -670,10 +661,10 @@ def run_sweep(config: SweepConfig) -> dict:
 def run_phase_diagram(config: SweepConfig) -> dict:
     """Half-chain entropy heat map over (gamma, delta) plus fitted/analytic boundaries.
 
-    Writes what run_sweep writes with the collapse analysis switched on, plus
-    phase_diagram.csv (the heat map at the largest configured size) and
-    boundaries.csv (the per-gamma collapse estimate of the transition point
-    next to the analytic skin-effect and tilt-localization boundaries).
+    Writes what run_sweep writes with the collapse analysis switched on (so
+    collapse.json holds each gamma's fitted delta_c), plus phase_diagram.csv
+    (the heat map at the largest configured size) and boundaries.csv (the
+    analytic skin-effect and tilt-localization boundaries per gamma).
     """
     if len(config.gamma_values) < 2 or len(config.delta_values) < 2:
         raise ValueError("phase diagram needs at least 2 gamma and 2 delta values")
@@ -686,20 +677,20 @@ def run_phase_diagram(config: SweepConfig) -> dict:
     grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
                  for r in results if r["error"] is None and r["L"] == l_max]
     write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
-    _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, l_max))
+    _emit_boundaries(outdir, config.gamma_values, l_max)
     return _finish(config, outdir, _grid_record(results))
 
 
 def run_spectral(config: SweepConfig) -> dict:
     """Average fractal dimension over the grid plus analytic boundaries.
 
-    Writes fractal.csv and boundaries.csv (fitted delta_c from the directory's
-    collapse.json) over any earlier ones and returns the rewritten manifest;
-    the directory's other run files stay.
+    Writes fractal.csv and boundaries.csv over any earlier ones and returns
+    the rewritten manifest; it reads only the earlier manifest, and the
+    directory's other run files stay.
     """
     outdir = _output_dir(config)
     record = _earlier_grid_record(outdir)
-    _emit_boundaries(outdir, _analytic_boundaries(config.gamma_values, max(config.sizes)))
+    _emit_boundaries(outdir, config.gamma_values, max(config.sizes))
     _emit_fractal(outdir, _fractal_rows(config))
     return _finish(config, outdir, record)
 
@@ -707,21 +698,15 @@ def run_spectral(config: SweepConfig) -> dict:
 def refit_collapse(config: SweepConfig) -> dict:
     """Refit the collapse on the output directory's sweep.csv, rows in file order.
 
-    Replaces the configured gammas' collapse.json entries, rewrites the
-    fitted columns of an earlier boundaries.csv's rows from the new
-    collapse.json (its gammas and analytic columns stay), rewrites the
+    Reads sweep.csv and the earlier manifest before its first write, replaces
+    the configured gammas' collapse.json entries and tables, rewrites the
     manifest, and returns this refit's fits by gamma key; an empty dict means
-    no configured gamma had a finite row.
+    no configured gamma had a finite row.  boundaries.csv is left as it is.
     """
     outdir = Path(config.output_dir)
     rows = read_csv(outdir / "sweep.csv",
                     {"gamma": float, "delta": float, "L": int, "s_half_steady": float})
-    boundaries = outdir / "boundaries.csv"
-    analytic = ("gamma", "delta_i", "delta_ii")
-    kept = read_csv(boundaries, dict.fromkeys(analytic, float)) if boundaries.exists() else []
     record = _earlier_grid_record(outdir)
     fits = _emit_collapse(config, outdir, rows)
-    if kept:
-        _emit_boundaries(outdir, [[r[k] for k in analytic] for r in kept])
     _finish(config, outdir, record)
     return fits

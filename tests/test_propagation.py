@@ -185,6 +185,14 @@ def test_correlation_invariants_along_trajectory():
     assert np.all(rec.density_series.sum(axis=1) == pytest.approx(8.0, abs=1e-8))
 
 
+def test_validate_correlation_fails_a_spectrum_that_is_not_finite():
+    C = 0.5 * np.eye(4)
+    C[0, 1] = np.nan
+    res = validate_correlation(C, 2)
+    assert res["spectrum_range"] == np.inf  # max() over NaN eigenvalues would give 0.0
+    assert not res["ok"]
+
+
 def test_density_profile_clamps_and_sums():
     state = init_z2_state(12)
     C = correlation_matrix(state)

@@ -163,7 +163,7 @@ def test_phase_diagram_outputs(tmp_path):
     for line in lines[1:]:
         assert np.isfinite(float(line.split(",")[2]))
     bounds = (out / "boundaries.csv").read_text().splitlines()
-    assert bounds[0] == "gamma,delta_c,delta_c_err,delta_i,delta_ii"
+    assert bounds[0] == "gamma,delta_i,delta_ii"  # delta_c is in collapse.json alone
     assert len(bounds) == 3
 
 
@@ -208,8 +208,7 @@ def test_phase_diagram_boundaries_use_only_this_runs_fits(tmp_path, monkeypatch)
     assert run_phase_diagram(cfg)["status"] == "partial"
     rows = (out / "boundaries.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
-    for row in rows:
-        assert np.isnan(float(row.split(",")[1]))  # no fit this run: delta_c is NaN
+    assert not (out / "collapse.json").exists()  # no fit this run, and the stale ones are gone
 
 
 def test_phase_diagram_needs_2x2():
@@ -262,6 +261,29 @@ def test_exports_and_formats(tmp_path):
     assert p.read_text().splitlines()[0] == "step,site,n"
     svg = p.with_suffix(".svg")
     assert svg.exists() and svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("kind, source, header", [
+    ("s_vs_delta", "sweep.csv", ROW_COLUMNS), ("s_vs_L", "sweep.csv", ROW_COLUMNS),
+    ("mutual_info", "mutual_info.csv", ["gamma", "delta", "L", "mi"]),
+])
+def test_row_exports_need_gamma_when_the_table_holds_more_than_one(tmp_path, capsys, kind,
+                                                                   source, header):
+    def row(gamma, value):
+        cells = {"gamma": gamma, "delta": 0.1, "L": 8, "boundary": "open", "s_half_steady": value,
+                 "s_half_raw_final": value, "converged": True, "wall_time_s": 0.0, "mi": value}
+        return [cells[c] for c in header]
+
+    write_csv(tmp_path / source, header, [row(-0.5, 1.0), row(-0.3, 2.0)])
+    point = ["--delta", "0.1"] if kind == "s_vs_L" else []
+    assert cli_main(["export", "--kind", kind, "--output", str(tmp_path), *point]) == 2
+    says = f"{kind} export needs --gamma: {source} holds more than one gamma"
+    assert says in capsys.readouterr().err
+    assert not (tmp_path / f"fig_{kind}.csv").exists()
+    assert cli_main(["export", "--kind", kind, "--output", str(tmp_path), *point,
+                     "--gamma", "-0.3"]) == 0
+    lines = (tmp_path / f"fig_{kind}.csv").read_text().splitlines()
+    assert len(lines) == 2 and "2.00000000000000000e+00" in lines[1].split(",")
 
 
 def test_export_missing_inputs_listed(tmp_path):
@@ -990,59 +1012,34 @@ def phase_dir(phase_template, tmp_path) -> Path:
     return out
 
 
-def boundary_rows(out: Path) -> dict:
-    """boundaries.csv's cells by gamma key, as written."""
-    columns = {"gamma": float, **dict.fromkeys(("delta_c", "delta_c_err", "delta_i", "delta_ii"),
-                                               str)}
-    return {f"{r['gamma']:g}": r for r in sweep_mod.read_csv(out / "boundaries.csv", columns)}
-
-
-def assert_boundaries_read_collapse_json(out: Path):
-    fits = json.loads((out / "collapse.json").read_text())
-    rows = boundary_rows(out)
-    assert sorted(rows) == sorted(fits)
-    for key, row in rows.items():
-        assert [row["delta_c"], row["delta_c_err"]] == [
-            sweep_mod.format_cell(fits[key]["delta_c"]),
-            sweep_mod.format_cell(fits[key]["delta_c_err"])], key
-
-
 def test_phase_diagram_then_collapse_then_spectral_keep_one_record(phase_dir):
     grid_manifest = json.loads((phase_dir / "manifest.json").read_text())
     assert "grid_config" not in grid_manifest  # a grid run states its config once
-    assert_boundaries_read_collapse_json(phase_dir)
+    boundaries = (phase_dir / "boundaries.csv").read_bytes()
     for verb, extra in (("collapse", ("--seed", "4")), ("spectral", ())):
         assert run_verb(verb, PHASE, phase_dir, *extra) == 0, verb
-        assert_boundaries_read_collapse_json(phase_dir)
+        # the analytic boundaries do not follow the fit: delta_c is in collapse.json alone
+        assert (phase_dir / "boundaries.csv").read_bytes() == boundaries, verb
         manifest = assert_manifest_describes(phase_dir)
         assert manifest["grid_config"] == grid_manifest["config"], verb
         assert manifest["config"]["output_dir"] == str(phase_dir), verb
 
 
-def test_spectral_into_a_phase_diagram_directory_keeps_the_fitted_delta_c(phase_dir):
-    before = (phase_dir / "boundaries.csv").read_bytes()
-    assert run_verb("spectral", PHASE, phase_dir) == 0
-    assert (phase_dir / "boundaries.csv").read_bytes() == before
-
-
-def test_collapse_with_new_bounds_rewrites_boundaries_from_collapse_json(phase_dir):
-    before = boundary_rows(phase_dir)
+def test_collapse_with_new_bounds_moves_delta_c_in_collapse_json_alone(phase_dir):
+    before = json.loads((phase_dir / "collapse.json").read_text())
+    boundaries = (phase_dir / "boundaries.csv").read_bytes()
     options = {**PHASE["collapse_options"], "bounds": [[0.05, 1.0], [0.5, 4.0], [0.5, 4.0]]}
-    # the refit's own sizes do not move delta_i and delta_ii off the grid's largest L
     raw = {**PHASE, "sizes": [8], "collapse_options": options}
     assert run_verb("collapse", raw, phase_dir) == 0
-    after = boundary_rows(phase_dir)
+    after = json.loads((phase_dir / "collapse.json").read_text())
     assert after["-0.5"]["delta_c"] != before["-0.5"]["delta_c"]  # off the old lower bound
-    assert_boundaries_read_collapse_json(phase_dir)
-    for key in before:
-        assert ([after[key][c] for c in ("delta_i", "delta_ii")]
-                == [before[key][c] for c in ("delta_i", "delta_ii")]), key
+    assert (phase_dir / "boundaries.csv").read_bytes() == boundaries
+    assert_manifest_describes(phase_dir)
 
 
 def test_one_gamma_collapse_keeps_the_other_gammas_fit(phase_dir, capsys):
     kept_table = (phase_dir / "collapse_g-0.3.csv").read_bytes()
     kept_fit = json.loads((phase_dir / "collapse.json").read_text())["-0.3"]
-    kept_row = boundary_rows(phase_dir)["-0.3"]
     capsys.readouterr()
     assert run_verb("collapse", {**PHASE, "gamma_values": [-0.5]}, phase_dir,
                     "--seed", "4") == 0
@@ -1051,8 +1048,6 @@ def test_one_gamma_collapse_keeps_the_other_gammas_fit(phase_dir, capsys):
     fits = json.loads((phase_dir / "collapse.json").read_text())
     assert sorted(fits) == ["-0.3", "-0.5"]
     assert json.dumps(fits["-0.3"], sort_keys=True) == json.dumps(kept_fit, sort_keys=True)
-    assert boundary_rows(phase_dir)["-0.3"] == kept_row
-    assert_boundaries_read_collapse_json(phase_dir)
     assert_manifest_describes(phase_dir)
 
 
@@ -1065,17 +1060,13 @@ def test_collapse_on_a_sweep_without_rows_leaves_boundaries_alone(tmp_path):
     assert (out / "boundaries.csv").read_text() == "earlier\n"
 
 
-def test_collapse_on_a_sweep_without_rows_clears_the_fitted_boundaries(phase_dir):
-    before = boundary_rows(phase_dir)
+def test_collapse_on_a_sweep_without_rows_removes_the_fits(phase_dir):
+    boundaries = (phase_dir / "boundaries.csv").read_bytes()
     write_csv(phase_dir / "sweep.csv", ROW_COLUMNS, [])
     assert run_verb("collapse", PHASE, phase_dir) == 1  # no usable rows
     assert not (phase_dir / "collapse.json").exists()
-    after = boundary_rows(phase_dir)
-    assert sorted(after) == sorted(before) == ["-0.3", "-0.5"]
-    for key, row in after.items():
-        assert [row["delta_c"], row["delta_c_err"]] == ["nan", "nan"], key
-        assert ([row[c] for c in ("delta_i", "delta_ii")]
-                == [before[key][c] for c in ("delta_i", "delta_ii")]), key
+    assert not list(phase_dir.glob("collapse_g*.csv"))
+    assert (phase_dir / "boundaries.csv").read_bytes() == boundaries
     assert_manifest_describes(phase_dir)
 
 
@@ -1132,6 +1123,18 @@ def test_cli_verify_fails_a_trajectory_with_a_nan_entropy(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines if "ee_nonnegative" in line] == [
         ["FAIL", "ee_nonnegative"]]
+
+
+def test_cli_verify_fails_a_trajectory_with_a_nan_correlation(tmp_path, capsys):
+    C = 0.5 * np.eye(4)
+    C[0, 1] = np.nan
+    path = tmp_path / "traj.npz"
+    np.savez(path, final_correlation=C, density_series=np.full((1, 4), 0.5),
+             ee_series=np.zeros(1), length=4)
+    assert cli_main(["verify", "--input", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if "spectrum_range" in line] == [
+        ["FAIL", "spectrum_range", "inf"]]
 
 
 def broken_tables(path: Path, column: str, blank: str = "delta") -> dict:
@@ -1212,15 +1215,38 @@ def test_reading_a_malformed_table_is_an_io_error_naming_the_file(tmp_path, caps
 
 def test_a_malformed_input_stops_collapse_and_spectral_before_they_write(phase_dir):
     kept = read_bytes_map(phase_dir)
-    for verb, name, text in (("collapse", "boundaries.csv", "gamma,delta_i,delta_ii\n-0.5,0.1\n"),
-                             ("collapse", "collapse.json", "["),
-                             ("spectral", "collapse.json", "[]"),
+    for verb, name, text in (("collapse", "collapse.json", "["),
                              ("collapse", "manifest.json", "{"),
                              ("spectral", "manifest.json", "{")):
         (phase_dir / name).write_text(text)
         assert run_verb(verb, PHASE, phase_dir) == 3, (verb, name)
         assert read_bytes_map(phase_dir) == {**kept, name: text.encode()}, (verb, name)
         (phase_dir / name).write_bytes(kept[name])
+
+
+@pytest.mark.parametrize("verb, name, text", [
+    ("collapse", "boundaries.csv", "gamma,delta_i,delta_ii\n-0.5,0.1\n"),
+    ("spectral", "collapse.json", "[]"),
+])
+def test_collapse_and_spectral_do_not_read_each_others_file(phase_dir, verb, name, text):
+    (phase_dir / name).write_text(text)
+    assert run_verb(verb, PHASE, phase_dir) == 0
+    assert (phase_dir / name).read_text() == text
+    assert_manifest_describes(phase_dir)
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("collapse", "--workers", "2"), ("collapse", "--preset", "paper"),
+    ("spectral", "--workers", "2"), ("spectral", "--preset", "paper"),
+    ("spectral", "--seed", "9"),
+])
+def test_collapse_and_spectral_reject_the_flags_they_do_not_read(tmp_path, capsys, verb, flag,
+                                                                 value):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main([verb, "--config", str(tmp_path / "cfg.json"), flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # argparse stops it before it reads or writes
 
 
 def test_fractal_map_export_pivots_fractal_csv_into_gamma_delta_order(tmp_path):
