@@ -74,7 +74,6 @@ from .sweep import (
     config_from_dict,
     load_config,
     refit_collapse,
-    run_phase_diagram,
     run_spectral,
     run_sweep,
 )

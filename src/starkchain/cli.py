@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Verbs: simulate (grid sweep), phase-diagram, collapse (refit saved rows),
-spectral (fractal dimensions and analytic boundaries), export (plot-ready
-tables), verify (invariant suite on a saved trajectory file).
+Verbs: simulate (grid sweep), collapse (refit saved rows), spectral (fractal
+dimensions and analytic boundaries), export (plot-ready tables), verify
+(invariant suite on a saved trajectory file).  The phase diagram is simulate
+with the collapse analysis on, then spectral into the same directory.
 
 Exit codes: 0 success, 1 partial (some rows failed or a check failed),
 2 config error, 3 I/O error.
@@ -66,14 +67,6 @@ def cmd_simulate(args) -> int:
     return _manifest_exit(manifest)
 
 
-def cmd_phase_diagram(args) -> int:
-    from .sweep import run_phase_diagram
-
-    manifest = run_phase_diagram(_load(args))
-    print(f"phase diagram written ({manifest['status']})")
-    return _manifest_exit(manifest)
-
-
 def cmd_collapse(args) -> int:
     from .sweep import refit_collapse
 
@@ -131,10 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    grid = ("--workers", "--preset", "--seed")  # collapse and spectral run no grid
-    for name, fn, flags in (
-        ("simulate", cmd_simulate, grid),
-        ("phase-diagram", cmd_phase_diagram, grid),
+    for name, fn, flags in (  # collapse and spectral run no grid
+        ("simulate", cmd_simulate, ("--workers", "--preset", "--seed")),
         ("collapse", cmd_collapse, ("--seed",)),
         ("spectral", cmd_spectral, ()),
     ):

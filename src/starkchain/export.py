@@ -15,7 +15,7 @@ from .sweep import point_tag, read_csv, write_csv
 
 EXPORT_KINDS = (
     "s_vs_delta", "s_vs_L", "entropy_profile", "mutual_info",
-    "density_heatmap", "collapse", "fractal_map",
+    "density_heatmap", "fractal_map",
 )
 
 # Row-table kinds: the source file, the filters that apply (each --gamma/--delta
@@ -72,11 +72,12 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
                        delta: float | None = None, size: int | None = None) -> Path:
     """Write one plot-ready table of the given kind from saved sweep outputs.
 
-    Reads the files that `run_sweep`/`run_phase_diagram` wrote in `output_dir`
+    Reads the files that `run_sweep` or `run_spectral` wrote in `output_dir`
     with sweep's readers, which raise OSError naming a missing or malformed
-    file.  entropy_profile and density_heatmap copy the point's profile_*.csv
-    (cft_fit) or density_*.csv (density_movie) once its rows are those of a
-    table of that size.  Returns the path written; density_heatmap and
+    file.  A row kind whose --gamma or --delta matches no row raises
+    ValueError and writes nothing.  entropy_profile and density_heatmap copy
+    the point's profile_*.csv (cft_fit) or density_*.csv (density_movie) once
+    its rows are those of a table of that size.  Returns the path written; density_heatmap and
     fractal_map also write an SVG heat map next to the table.
     """
     if kind not in EXPORT_KINDS:
@@ -92,6 +93,9 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
             raise ValueError(f"{kind} export needs --gamma: {source} holds more than one gamma")
         rows = [r for r in rows
                 if all(wanted[k] is None or np.isclose(r[k], wanted[k]) for k in filters)]
+        given = [f"{k} = {wanted[k]:g}" for k in filters if wanted[k] is not None]
+        if given and not rows:
+            raise ValueError(f"{kind} export: no row of {source} has {' and '.join(given)}")
         rows.sort(key=lambda r: (r["delta"], r["L"]))
         path = Path(out_path) if out_path else outdir / f"fig_{kind}.csv"
         write_csv(path, [header for _, _, header in columns],
@@ -117,14 +121,6 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
         shutil.copyfile(src, path)
         if kind == "density_heatmap":
             svg_heatmap(np.array([[r["n"] for r in b] for b in blocks]), path.with_suffix(".svg"))
-        return path
-
-    if kind == "collapse":
-        if gamma is None:
-            raise ValueError("collapse export needs gamma")
-        # the rescaled table is already plot-ready and carries the fit in its header
-        path = Path(out_path) if out_path else outdir / f"fig_collapse_g{gamma:g}.csv"
-        shutil.copyfile(outdir / f"collapse_g{gamma:g}.csv", path)
         return path
 
     # fractal_map

@@ -1,27 +1,29 @@
 """Config-driven grid runner: trajectories over (gamma, delta, L) with persistence.
 
 Outputs are plain CSV/JSON/NPZ files in an output directory, each format read
-back by one reader here, beside its writer.  The names a run
-may write are one list of glob patterns, RUN_OUTPUTS: a grid run (simulate,
-phase-diagram) deletes every file matching them before its first point, and
-every verb that writes into the directory (those two, spectral, collapse) ends
-by writing manifest.json, which lists each file in the directory that matches
-them with its content hash.  Each grid point's files are written by the
-process that ran it as soon as the point finishes; the manifest is written
-last.  collapse.json alone holds the collapse fits, delta_c among them (a fit
-replaces only its gamma's entry); boundaries.csv holds only the analytic
-boundaries, and its writer reads no file.  The manifest carries the config and
-runtime of the verb that wrote it; a verb that runs no grid copies the grid's
-config (as grid_config) and row errors, which set the status, from the manifest
-already in the directory, and reads it, like every input it reads, before its
-first write.  A point's traj_*.npz, the whole trajectory, is written only under
+back by one reader here, beside its writer.  The names a run may write are one
+list of glob patterns, RUN_OUTPUTS: the grid run (simulate) deletes every file
+matching them before its first point, and every verb that writes into the
+directory (simulate, spectral, collapse) ends by writing manifest.json, which
+lists each file in the directory that matches them with its content hash.  Each
+grid point's files are written by the process that ran it as soon as the point
+finishes; the manifest is written last.  collapse.json alone holds the collapse
+fits, delta_c among them (a fit replaces only its gamma's entry);
+boundaries.csv, which spectral alone writes, holds only the analytic
+boundaries, and its writer reads no file.  The phase diagram is simulate with
+the collapse analysis on, then spectral: its S_half map is the finite rows of
+sweep.csv at the largest L.  The manifest carries the config and runtime of the
+verb that wrote it; a verb that runs no grid copies the grid's config (as
+grid_config) and row errors, which set the status, from the manifest already in
+the directory, and reads it, like every input it reads, before its first write.
+A point's traj_*.npz, the whole trajectory, is written only under
 save_trajectories: every other output reads the tail of the entropy series or
 the final state, so without it each trajectory forms the half-chain entropy
 only over the tail that the steady reducer reads.  Runs are deterministic: at a
 fixed BLAS thread count, a rerun with an identical config (including seed)
-produces byte-identical files, independent of the worker count.
-Wall-clock timing is therefore only recorded when `record_timings` is enabled,
-since real timings vary between runs.
+produces byte-identical files, independent of the worker count.  Wall-clock
+timing is therefore only recorded when `record_timings` is enabled, since real
+timings vary between runs.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import product
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .entanglement import (entropy_profile, mutual_information, standard_probe_regions,
-                           steady_state_entropy, steady_state_start)
+from .entanglement import (_tail_length, entropy_profile, mutual_information,
+                           standard_probe_regions, steady_state_entropy, steady_state_start)
 from .model import Boundary, ModelParams, build_hamiltonian
 from .propagation import (Schedule, TrajectoryError, _check_field_types, _is_number,
                           run_trajectory)
@@ -128,6 +130,10 @@ class SweepConfig:
             raise ValueError("gamma_values, delta_values and sizes must be nonempty")
         if any(L % 2 != 0 for L in self.sizes):
             raise ValueError("all sizes must be even")
+        if self.analyses.mutual_info:  # its probe regions are L/8 sites long
+            for L in self.sizes:
+                if L % 8 != 0:
+                    raise ValueError(f"mutual_info needs every size divisible by 8, got L = {L}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         tagged = {}
@@ -313,7 +319,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     }
     mi_steps: list = []
     mi_vals: list = []
-    want_mi = config.analyses.mutual_info and length % 8 == 0
+    want_mi = config.analyses.mutual_info
     if want_mi:
         region_a, region_b = standard_probe_regions(length)
 
@@ -342,7 +348,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         result["wall_time_s"] = time.perf_counter() - t0
 
     if want_mi and mi_vals:
-        n_tail = max(1, int(round(sm.tail_fraction * len(mi_vals))))
+        n_tail = _tail_length(len(mi_vals), sm.tail_fraction)
         result["mi_steady"] = float(np.mean(mi_vals[-n_tail:]))
 
     outdir = Path(config.output_dir)
@@ -454,18 +460,18 @@ def _output_dir(config: SweepConfig) -> Path:
 # Names of every file a run writes besides manifest.json, as glob patterns.  This
 # is the one record of a run's files: what a grid run clears before it starts and
 # what every manifest lists.
-RUN_OUTPUTS = ("sweep.csv", "phase_diagram.csv", "boundaries.csv", "mutual_info.csv",
-               "power_law.json", "collapse.json", "collapse_g*.csv", "fractal.csv",
-               "cft_fit.json", "profile_*.csv", "density_*.csv", "traj_*.npz")
+RUN_OUTPUTS = ("sweep.csv", "boundaries.csv", "mutual_info.csv", "power_law.json",
+               "collapse.json", "collapse_g*.csv", "fractal.csv", "cft_fit.json",
+               "profile_*.csv", "density_*.csv", "traj_*.npz")
 
 
 def _start_run(config: SweepConfig) -> Path:
     """Make the output directory and delete an earlier run's results in it.
 
     It deletes manifest.json and every file matching RUN_OUTPUTS: sweep.csv,
-    phase_diagram.csv, boundaries.csv, the analysis files and the per-point
-    profile_*, density_* and traj_* files.  Workers write each point's files as
-    it finishes, so this runs before the grid starts; the directory then holds
+    spectral's boundaries.csv, the analysis files and the per-point profile_*,
+    density_* and traj_* files.  Workers write each point's files as it
+    finishes, so this runs before the grid starts; the directory then holds
     only this run's results, and holds a manifest only once the run has
     finished.  Other files, such as export tables (fig_*), stay.
     """
@@ -655,29 +661,6 @@ def run_sweep(config: SweepConfig) -> dict:
     outdir = _start_run(config)
     results, fractal = _run_grid(config)
     _emit_results(config, outdir, results, fractal)
-    return _finish(config, outdir, _grid_record(results))
-
-
-def run_phase_diagram(config: SweepConfig) -> dict:
-    """Half-chain entropy heat map over (gamma, delta) plus fitted/analytic boundaries.
-
-    Writes what run_sweep writes with the collapse analysis switched on (so
-    collapse.json holds each gamma's fitted delta_c), plus phase_diagram.csv
-    (the heat map at the largest configured size) and boundaries.csv (the
-    analytic skin-effect and tilt-localization boundaries per gamma).
-    """
-    if len(config.gamma_values) < 2 or len(config.delta_values) < 2:
-        raise ValueError("phase diagram needs at least 2 gamma and 2 delta values")
-    outdir = _start_run(config)
-    results, fractal = _run_grid(config)
-    with_collapse = replace(config, analyses=replace(config.analyses, collapse=True))
-    _emit_results(with_collapse, outdir, results, fractal)
-
-    l_max = max(config.sizes)
-    grid_rows = [[r["gamma"], r["delta"], r["s_half_steady"]]
-                 for r in results if r["error"] is None and r["L"] == l_max]
-    write_csv(outdir / "phase_diagram.csv", ["gamma", "delta", "s_half"], grid_rows)
-    _emit_boundaries(outdir, config.gamma_values, l_max)
     return _finish(config, outdir, _grid_record(results))
 
 

@@ -79,7 +79,7 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
     grid.write_text(json.dumps({
         "gamma_values": [-0.5, -0.3], "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
         "sizes": [6, 8, 10], "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
-        "analyses": {"fractal": False},
+        "analyses": {"collapse": True},
         "collapse_options": {"window_min_delta": None, "bootstrap_n": 2}}))
     # The tripwire records every import of a watched module, in this process and
     # in the sweep's forked workers, and otherwise leaves the import alone.
@@ -118,7 +118,7 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         run("export", "--kind", "entropy_profile", "--output", f"{{out}}/w2",
             "--gamma", "-0.5", "--delta", "0.1", "--size", "8")
         run("verify", "--input", f"{{out}}/w2/traj_g-0.5_d0.1_L8.npz")
-        run("phase-diagram", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
+        run("simulate", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
         run("collapse", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
         run("spectral", "--config", {str(grid)!r}, "--output", f"{{out}}/sp")
         sys.meta_path.pop(0)
@@ -130,5 +130,5 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         print([m for m in watched if m in sys.modules])
     """)
     assert lines == ["import 0 []", "simulate 0 []", "simulate 0 []", "export 0 []",
-                     "verify 0 []", "phase-diagram 0 []", "collapse 0 []", "spectral 0 []",
+                     "verify 0 []", "simulate 0 []", "collapse 0 []", "spectral 0 []",
                      "False", "['-0.3', '-0.5']", "['scipy.linalg']"]

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 import scipy
 
-from starkchain import (ModelParams, SweepConfig, config_from_dict, run_phase_diagram,
-                        run_spectral, run_sweep, run_trajectory)
+from starkchain import (ModelParams, SweepConfig, config_from_dict, run_spectral, run_sweep,
+                        run_trajectory)
 from starkchain.cli import build_parser, main as cli_main
 from starkchain.export import export_figure_data
 from starkchain.scaling import power_law_fit
 from starkchain import propagation
 from starkchain import sweep as sweep_mod
 from starkchain.sweep import (ROW_COLUMNS, Analyses, CollapseOptions, Schedule, Smoothing,
-                              point_tag, write_csv)
+                              point_tag, read_csv, write_csv)
 
 FAST = {
     "gamma_values": [-0.5],
@@ -145,29 +145,7 @@ def test_row_failure_isolation(tmp_path):
     assert len(rows) == 3  # both grid points present
 
 
-def test_phase_diagram_outputs(tmp_path):
-    cfg = config_from_dict({
-        "gamma_values": [-0.5, -0.3],
-        "delta_values": [0.05, 0.3],
-        "sizes": [8, 16],
-        "schedule": {"dt": 10.0, "steps": 100, "sample_stride": 25},
-        "output_dir": str(tmp_path / "out"),
-    })
-    run_phase_diagram(cfg)
-    out = tmp_path / "out"
-    grid = out / "phase_diagram.csv"
-    assert grid.exists()
-    lines = grid.read_text().splitlines()
-    assert lines[0] == "gamma,delta,s_half"
-    assert len(lines) == 5  # 2x2 cells at the largest size
-    for line in lines[1:]:
-        assert np.isfinite(float(line.split(",")[2]))
-    bounds = (out / "boundaries.csv").read_text().splitlines()
-    assert bounds[0] == "gamma,delta_i,delta_ii"  # delta_c is in collapse.json alone
-    assert len(bounds) == 3
-
-
-def test_phase_diagram_fits_each_gamma_once(tmp_path, monkeypatch):
+def test_simulate_with_collapse_fits_each_gamma_once(tmp_path, monkeypatch):
     calls = []
     real_fit = sweep_mod.fit_collapse
 
@@ -185,14 +163,14 @@ def test_phase_diagram_fits_each_gamma_once(tmp_path, monkeypatch):
         "collapse_options": {"window_min_delta": None, "bootstrap_n": 0},
         "output_dir": str(tmp_path / "out"),
     })
-    manifest = run_phase_diagram(cfg)
+    manifest = run_sweep(cfg)
     assert calls == [15, 15]  # one fit per gamma, on its 5 x 3 points
     paths = [entry["path"] for entry in manifest["files"]]
     assert len(paths) == len(set(paths))
     assert {"collapse.json", "collapse_g-0.5.csv", "collapse_g-0.3.csv"} <= set(paths)
 
 
-def test_phase_diagram_boundaries_use_only_this_runs_fits(tmp_path, monkeypatch):
+def test_simulate_with_collapse_keeps_no_earlier_fit(tmp_path, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
     stale = {"delta_c": 0.2, "delta_c_err": 0.01}
@@ -203,18 +181,11 @@ def test_phase_diagram_boundaries_use_only_this_runs_fits(tmp_path, monkeypatch)
         "gamma_values": [-0.5, -0.3],
         "delta_values": [0.05, 0.3],
         "sizes": [8],
+        "analyses": {"collapse": True},
         "output_dir": str(out),
     })
-    assert run_phase_diagram(cfg)["status"] == "partial"
-    rows = (out / "boundaries.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2
+    assert run_sweep(cfg)["status"] == "partial"
     assert not (out / "collapse.json").exists()  # no fit this run, and the stale ones are gone
-
-
-def test_phase_diagram_needs_2x2():
-    cfg = config_from_dict({**FAST, "output_dir": "unused"})
-    with pytest.raises(ValueError, match="2 gamma"):
-        run_phase_diagram(cfg)
 
 
 def test_spectral_runner(tmp_path):
@@ -286,6 +257,23 @@ def test_row_exports_need_gamma_when_the_table_holds_more_than_one(tmp_path, cap
     assert len(lines) == 2 and "2.00000000000000000e+00" in lines[1].split(",")
 
 
+@pytest.mark.parametrize("kind, source, header, filters, says", [
+    ("s_vs_delta", "sweep.csv", ROW_COLUMNS, ["--gamma", "-0.4"], "gamma = -0.4"),
+    ("s_vs_L", "sweep.csv", ROW_COLUMNS, ["--gamma", "-0.5", "--delta", "0.07"],
+     "gamma = -0.5 and delta = 0.07"),
+    ("mutual_info", "mutual_info.csv", ["gamma", "delta", "L", "mi"], ["--gamma", "-0.4"],
+     "gamma = -0.4"),
+])
+def test_a_row_export_whose_filter_matches_no_row_writes_nothing(tmp_path, capsys, kind, source,
+                                                                  header, filters, says):
+    cells = {"gamma": -0.5, "delta": 0.1, "L": 8, "boundary": "open", "s_half_steady": 1.0,
+             "s_half_raw_final": 1.0, "converged": True, "wall_time_s": 0.0, "mi": 1.0}
+    write_csv(tmp_path / source, header, [[cells[c] for c in header]])
+    assert cli_main(["export", "--kind", kind, "--output", str(tmp_path), *filters]) == 2
+    assert f"{kind} export: no row of {source} has {says}" in capsys.readouterr().err
+    assert not (tmp_path / f"fig_{kind}.csv").exists()
+
+
 def test_export_missing_inputs_listed(tmp_path):
     with pytest.raises(FileNotFoundError, match="sweep.csv"):
         export_figure_data("s_vs_delta", tmp_path, gamma=-0.5)
@@ -309,6 +297,14 @@ def test_config_presets_and_validation(tmp_path):
         config_from_dict({**FAST, "gamma_values": []})
     with pytest.raises((ValueError, KeyError)):
         config_from_dict({**FAST, "boundary": "moebius"})
+
+
+def test_mutual_info_rejects_a_size_that_is_not_a_multiple_of_8(tmp_path, capsys):
+    raw = {**FAST, "sizes": [12, 16], "analyses": {"mutual_info": True}}
+    assert run_verb("simulate", raw, tmp_path / "out") == 2
+    assert "mutual_info needs every size divisible by 8, got L = 12" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the run starts
+    config_from_dict({**raw, "analyses": {"mutual_info": False}})  # the sizes alone are fine
 
 
 def test_cli_simulate_collapse_verify_export(tmp_path):
@@ -374,10 +370,8 @@ def test_cli_collapse_on_synthetic_rows(tmp_path):
     fits = json.loads((out / "collapse.json").read_text())["-0.5"]
     assert fits["delta_c"] == pytest.approx(0.15, abs=0.02)
 
-    # the rescaled table and the figure export carry the fit in their headers
-    assert (out / "collapse_g-0.5.csv").exists()
-    p = export_figure_data("collapse", out, gamma=-0.5)
-    lines = p.read_text().splitlines()
+    # the rescaled table carries the fit in its header
+    lines = (out / "collapse_g-0.5.csv").read_text().splitlines()
     assert lines[0].startswith("# delta_c=")
     assert lines[1] == "x,y,L,delta"
 
@@ -419,14 +413,11 @@ def test_cli_collapse_refit_without_rows_removes_earlier_fit(tmp_path):
     assert (out / "collapse_g-0.3.csv").exists()
 
     # the rows now hold another gamma: the refit writes nothing and exits 1,
-    # and the first fit must not survive to be exported as this one's
+    # and the first fit must not survive to be read as this one's
     write_csv(out / "sweep.csv", ROW_COLUMNS, synthetic_collapse_rows(-0.5))
     assert cli_main(["collapse", "--config", str(cfg_path)]) == 1
     assert not (out / "collapse_g-0.3.csv").exists()
     assert not (out / "collapse.json").exists()
-    assert cli_main([
-        "export", "--kind", "collapse", "--output", str(out), "--gamma", "-0.3",
-    ]) != 0
 
 
 def test_point_tag_stability():
@@ -644,7 +635,6 @@ def test_simulate_clears_earlier_analysis_outputs(tmp_path):
     }
     point = ["--gamma", "-0.5", "--delta", "0.15", "--size", "16"]
     exports = [
-        ["export", "--kind", "collapse", "--output", str(out), "--gamma", "-0.5"],
         ["export", "--kind", "mutual_info", "--output", str(out), "--gamma", "-0.5"],
         ["export", "--kind", "entropy_profile", "--output", str(out), *point],
     ]
@@ -653,17 +643,17 @@ def test_simulate_clears_earlier_analysis_outputs(tmp_path):
         "collapse": True, "mutual_info": True, "cft_fit": True}}))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
     assert (out / "collapse_g-0.5.csv").exists()
-    assert [cli_main(call) for call in exports] == [0, 0, 0]
+    assert [cli_main(call) for call in exports] == [0, 0]
     (out / "notes.txt").write_text("kept")
 
     cfg_path.write_text(json.dumps(base))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
-    assert [cli_main(call) for call in exports] == [3, 3, 3]
+    assert [cli_main(call) for call in exports] == [3, 3]
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
     # export tables and files the sweep never writes stay
     assert sorted(p.name for p in out.iterdir()) == [
-        "fig_collapse_g-0.5.csv", "fig_mutual_info.csv",
+        "fig_mutual_info.csv",
         f"fig_profile_{point_tag(-0.5, 0.15, 16)}.csv",
         "manifest.json", "notes.txt", "sweep.csv",
     ]
@@ -836,8 +826,6 @@ def test_pool_run_does_no_numerical_work_in_the_calling_process(tmp_path, monkey
     raw = {**EVERY_POINT_ANALYSIS, "gamma_values": [-0.5, -0.3], "workers": 2}
     assert run_sweep(config_from_dict({**raw, "output_dir": str(tmp_path / "s")}))[
         "status"] == "complete"
-    assert run_phase_diagram(config_from_dict({**raw, "output_dir": str(tmp_path / "p")}))[
-        "status"] == "complete"
 
 
 def test_stale_point_files_outside_the_grid_are_gone_after_a_run(tmp_path):
@@ -920,8 +908,8 @@ def run_verb(verb: str, raw: dict, out: Path, *extra: str) -> int:
 
 
 def test_every_file_a_verb_writes_is_a_run_output_and_in_its_manifest(tmp_path):
-    runs = {"simulate": tmp_path / "simulate", "phase-diagram": tmp_path / "phase",
-            "spectral": tmp_path / "spectral", "collapse": tmp_path / "collapse"}
+    runs = {"simulate": tmp_path / "simulate", "spectral": tmp_path / "spectral",
+            "collapse": tmp_path / "collapse"}
     runs["collapse"].mkdir()
     for verb, out in runs.items():
         if verb == "collapse":
@@ -934,7 +922,7 @@ def test_every_file_a_verb_writes_is_a_run_output_and_in_its_manifest(tmp_path):
     assert {"sweep.csv", "mutual_info.csv", "power_law.json", "collapse.json",
             "collapse_g-0.5.csv", "fractal.csv", "cft_fit.json", f"profile_{tag}.csv",
             f"density_{tag}.csv", f"traj_{tag}.npz"} <= set(os.listdir(runs["simulate"]))
-    assert {"phase_diagram.csv", "boundaries.csv"} <= set(os.listdir(runs["phase-diagram"]))
+    assert {"fractal.csv", "boundaries.csv"} <= set(os.listdir(runs["spectral"]))
 
 
 def test_collapse_after_simulate_rewrites_the_manifest(tmp_path):
@@ -973,16 +961,14 @@ def test_spectral_into_a_partial_sweep_keeps_its_files_and_status(tmp_path, monk
     assert fresh["status"] == "complete" and fresh["row_errors"] == []
 
 
-def test_simulate_into_a_phase_diagram_directory_removes_its_tables(tmp_path, monkeypatch):
+def test_simulate_into_a_spectral_directory_removes_its_tables(tmp_path):
     out = tmp_path / "out"
     raw = {**FAST, "gamma_values": [-0.5, -0.3], "delta_values": [0.05, 0.3], "sizes": [8],
            "output_dir": str(out)}
-    with monkeypatch.context() as m:
-        m.setattr(sweep_mod, "_run_point", lambda config, g, d, L: failed_point(g, d, L))
-        run_phase_diagram(config_from_dict(raw))
-    assert (out / "phase_diagram.csv").exists() and (out / "boundaries.csv").exists()
+    run_spectral(config_from_dict(raw))
+    assert (out / "fractal.csv").exists() and (out / "boundaries.csv").exists()
     manifest = run_sweep(config_from_dict(raw))
-    assert not (out / "phase_diagram.csv").exists() and not (out / "boundaries.csv").exists()
+    assert not (out / "fractal.csv").exists() and not (out / "boundaries.csv").exists()
     assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
 
 
@@ -993,14 +979,21 @@ PHASE = {
     "delta_values": [0.05, 0.1, 0.15, 0.2, 0.3],
     "sizes": [8, 12, 16],
     "schedule": {"dt": 10.0, "steps": 60, "sample_stride": 20},
+    "analyses": {"collapse": True},
     "collapse_options": {"window_min_delta": None, "bootstrap_n": 2, "seed": 3},
 }
 
 
 @pytest.fixture(scope="module")
 def phase_template(tmp_path_factory) -> Path:
+    """The phase diagram: simulate with the collapse analysis on, then spectral."""
     out = tmp_path_factory.mktemp("phase") / "out"
-    assert run_verb("phase-diagram", PHASE, out) == 0
+    assert run_verb("simulate", PHASE, out) == 0
+    grid_manifest = json.loads((out / "manifest.json").read_text())
+    assert "grid_config" not in grid_manifest  # a grid run states its config once
+    assert run_verb("spectral", PHASE, out) == 0
+    assert json.loads((out / "manifest.json").read_text())["grid_config"] == grid_manifest[
+        "config"]
     return out
 
 
@@ -1012,16 +1005,28 @@ def phase_dir(phase_template, tmp_path) -> Path:
     return out
 
 
+def test_the_phase_diagram_holds_every_part(phase_dir):
+    rows = read_csv(phase_dir / "sweep.csv", {"gamma": float, "delta": float, "L": int,
+                                              "s_half_steady": float})
+    cells = [(r["gamma"], r["delta"]) for r in rows
+             if r["L"] == max(PHASE["sizes"]) and np.isfinite(r["s_half_steady"])]  # S_half map
+    assert cells == [(g, d) for g in PHASE["gamma_values"] for d in PHASE["delta_values"]]
+    bounds = (phase_dir / "boundaries.csv").read_text().splitlines()
+    assert bounds[0] == "gamma,delta_i,delta_ii"  # delta_c is in collapse.json alone
+    assert len(bounds) == 3
+    assert sorted(json.loads((phase_dir / "collapse.json").read_text())) == ["-0.3", "-0.5"]
+    assert_manifest_describes(phase_dir)
+
+
 def test_phase_diagram_then_collapse_then_spectral_keep_one_record(phase_dir):
-    grid_manifest = json.loads((phase_dir / "manifest.json").read_text())
-    assert "grid_config" not in grid_manifest  # a grid run states its config once
+    grid_config = json.loads((phase_dir / "manifest.json").read_text())["grid_config"]
     boundaries = (phase_dir / "boundaries.csv").read_bytes()
     for verb, extra in (("collapse", ("--seed", "4")), ("spectral", ())):
         assert run_verb(verb, PHASE, phase_dir, *extra) == 0, verb
         # the analytic boundaries do not follow the fit: delta_c is in collapse.json alone
         assert (phase_dir / "boundaries.csv").read_bytes() == boundaries, verb
         manifest = assert_manifest_describes(phase_dir)
-        assert manifest["grid_config"] == grid_manifest["config"], verb
+        assert manifest["grid_config"] == grid_config, verb
         assert manifest["config"]["output_dir"] == str(phase_dir), verb
 
 
@@ -1247,6 +1252,17 @@ def test_collapse_and_spectral_reject_the_flags_they_do_not_read(tmp_path, capsy
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # argparse stops it before it reads or writes
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--config", "cfg.json"],
+    ["export", "--kind", "collapse", "--output", "out", "--gamma", "-0.5"],
+])
+def test_the_removed_verb_and_export_kind_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_fractal_map_export_pivots_fractal_csv_into_gamma_delta_order(tmp_path):
