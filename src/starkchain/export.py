@@ -33,6 +33,15 @@ _ROW_TABLES = {
 }
 
 
+# The filter flags each kind reads; a kind given any other raises ValueError.
+_FLAGS_READ = {
+    **{kind: filters for kind, (_, filters, _) in _ROW_TABLES.items()},
+    "entropy_profile": ("gamma", "delta", "size"),
+    "density_heatmap": ("gamma", "delta", "size"),
+    "fractal_map": (),
+}
+
+
 def svg_heatmap(values: np.ndarray, path: Path):
     """Write a bare-bones SVG heat map of a 2D array (row 0 at the top), 6 px a cell."""
     cell = 6
@@ -74,14 +83,20 @@ def export_figure_data(kind: str, output_dir, out_path=None, gamma: float | None
 
     Reads the files that `run_sweep` or `run_spectral` wrote in `output_dir`
     with sweep's readers, which raise OSError naming a missing or malformed
-    file.  A row kind whose --gamma or --delta matches no row raises
-    ValueError and writes nothing.  entropy_profile and density_heatmap copy
+    file.  A --gamma, --delta or --size that the kind does not read, or a row
+    kind's --gamma or --delta that matches no row, raises ValueError and
+    writes nothing.  entropy_profile and density_heatmap copy
     the point's profile_*.csv (cft_fit) or density_*.csv (density_movie) once
     its rows are those of a table of that size.  Returns the path written; density_heatmap and
     fractal_map also write an SVG heat map next to the table.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
+    given = {"gamma": gamma, "delta": delta, "size": size}
+    unread = [f"--{flag}" for flag, v in given.items()
+              if v is not None and flag not in _FLAGS_READ[kind]]
+    if unread:
+        raise ValueError(f"{kind} export does not read {', '.join(unread)}")
     outdir = Path(output_dir)
 
     if kind in _ROW_TABLES:

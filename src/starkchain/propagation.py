@@ -1,17 +1,33 @@
-"""Nonunitary time evolution of Slater determinants with per-step QR.
+"""Nonunitary time evolution of Slater determinants, by eigenbasis or per-step QR.
 
-The state is an L x N matrix of single-particle orbitals.  One step multiplies
-the orbitals by the fixed step matrix exp(-i H dt), built once by the
-scaling-and-squaring Pade [13/13] method of Higham (SIAM J. Matrix Anal. Appl.
-26, 1179 (2005)) in numpy, and re-orthonormalizes the columns by a QR
-factorization, which both normalizes the many-body state and keeps the
-numerics stable against the exponential amplitude growth of nonreciprocal
-evolution.  The two-point correlation matrix of the state is
-C = (Q Q^dag)^T, a Hermitian projector of rank N.  The half-chain entropy
-needs only the left L/2 rows of Q, so C itself is formed only where a whole
-matrix is wanted: at density samples and for the final state.  The entropy
-is formed only from a caller's first read step on (`entropy_from`), since an
-eigvalsh per step is about a third of a step's cost.
+The state is an L x N matrix of orthonormal orbitals whose span is that of
+e^{-iHt} U0.  Two engines produce it, and `run_trajectory` picks one per point.
+
+The eigenbasis engine evaluates the span directly at any time.  With H =
+R diag(lam) R^-1, the modes sorted by -Im lam, Y = R^-1 U0 and K = Y_B Y_T^-1
+(T the top N modes, B the rest), the span at time t is that of
+R_T + R_B (K o exp(-i t (lam_B - lam_T))), every exponent having a real part
+<= 0, so nothing overflows at any t.  Its orbitals are the phase-fixed
+Householder Q of that matrix.  Each read time is evaluated on its own, so a
+trajectory visits only the steps something reads.  It is used when `eig` and
+both solves succeed and cond(R) cond(Y_T) <= EIGENBASIS_COND_MAX; in this
+package that is the ring below its real-spectrum threshold and small open
+chains, never the skin-regime open chain, whose R is ill-conditioned.
+
+The stepper multiplies the orbitals by the fixed step matrix exp(-i H dt),
+built once by the scaling-and-squaring Pade [13/13] method of Higham (SIAM J.
+Matrix Anal. Appl. 26, 1179 (2005)) in numpy, and re-orthonormalizes the
+columns by a QR factorization after every step, which both normalizes the
+many-body state and keeps the numerics stable against the exponential
+amplitude growth of nonreciprocal evolution.  It needs no eigenbasis, so it
+serves every other point.
+
+The two-point correlation matrix of the state is C = (Q Q^dag)^T, a Hermitian
+projector of rank N.  The half-chain entropy needs only the left L/2 rows of
+Q, so C itself is formed only where a whole matrix is wanted: at density
+samples and for the final state.  The entropy is formed only from a caller's
+first read step on (`entropy_from`), since an eigvalsh per step is about a
+third of a step's cost.
 """
 
 from __future__ import annotations
@@ -104,20 +120,13 @@ def make_propagator(H, dt: float) -> Propagator:
     return Propagator(R, dt)
 
 
-def step_qr(state: SlaterState, prop: Propagator) -> SlaterState:
-    """Advance one step and re-orthonormalize.
+def _orthonormalize(M: np.ndarray) -> np.ndarray:
+    """The Q factor of M, with column phases fixed so the R diagonal is real non-negative.
 
-    The orbitals become the Q factor of step_matrix @ orbitals, with column
-    phases fixed so the R diagonal is real non-negative (unique Q, so runs are
-    platform-deterministic).  A vanishing R diagonal entry means the propagated
-    orbitals lost rank, i.e. the nonunitary growth over one dt step exceeded
-    the representable range.
+    Q is then unique, so runs are platform-deterministic.  A vanishing R
+    diagonal entry raises RankDeficiencyError.
     """
-    if prop.step_matrix.shape[0] != state.length:
-        raise ValueError(
-            f"propagator size {prop.step_matrix.shape[0]} != state size {state.length}"
-        )
-    Q, R = np.linalg.qr(prop.step_matrix @ state.orbitals)
+    Q, R = np.linalg.qr(M)
     d = np.diagonal(R)
     small = np.abs(d) < RANK_TOL
     if np.any(small):
@@ -126,7 +135,83 @@ def step_qr(state: SlaterState, prop: Propagator) -> SlaterState:
             f"column {int(np.argmax(small))}); reduce dt"
         )
     phase = d / np.abs(d)
-    return SlaterState(orbitals=Q * phase, time=state.time + prop.dt)
+    return Q * phase
+
+
+def step_qr(state: SlaterState, prop: Propagator) -> SlaterState:
+    """Advance one step and re-orthonormalize.
+
+    The orbitals become the phase-fixed Q factor of step_matrix @ orbitals
+    (_orthonormalize).  A vanishing R diagonal entry means the propagated
+    orbitals lost rank, i.e. the nonunitary growth over one dt step exceeded
+    the representable range.
+    """
+    if prop.step_matrix.shape[0] != state.length:
+        raise ValueError(
+            f"propagator size {prop.step_matrix.shape[0]} != state size {state.length}"
+        )
+    return SlaterState(orbitals=_orthonormalize(prop.step_matrix @ state.orbitals),
+                       time=state.time + prop.dt)
+
+
+# The largest cond(R) cond(Y_T) at which a point takes the eigenbasis engine.  On
+# the grid of scripts/engine_agreement.py, every point under it matches the
+# stepper's tail entropy within 1.8e-10; the next product up, 1.9e4, is off by
+# 3.2e-9, and most products past 1e6 by 1e-8 to 1.
+EIGENBASIS_COND_MAX = 1e4
+# e^-230 = 1e-100: a decayed mode's weight below it is dropped (EigenbasisEngine.state_at).
+DECAY_FLOOR = -230.0
+
+
+@dataclass(frozen=True)
+class EigenbasisEngine:
+    """The span of e^{-iHt} U0 at any time, from the eigenbasis of H.
+
+    With the modes sorted by -Im lam, top_vectors holds R_T (L x N),
+    rest_vectors R_B (L x (L-N)), coupling K = Y_B Y_T^-1 and gaps
+    lam_B[:, None] - lam_T[None, :].
+    """
+
+    top_vectors: np.ndarray
+    rest_vectors: np.ndarray
+    coupling: np.ndarray
+    gaps: np.ndarray
+    dt: float
+
+    def state_at(self, n: int) -> SlaterState:
+        """The orbitals after n steps: the phase-fixed Q of R_T + R_B (K o e^{-i t gaps}).
+
+        An exponential below e^DECAY_FLOOR is taken as 0: it adds nothing to
+        R_T's unit columns, and as a subnormal it would slow the product
+        several times over.
+        """
+        t = n * self.dt
+        z = self.gaps * (-1j * t)
+        decay = np.exp(z, where=z.real > DECAY_FLOOR, out=np.zeros_like(z))
+        M = self.top_vectors + self.rest_vectors @ (self.coupling * decay)
+        return SlaterState(orbitals=_orthonormalize(M), time=t)
+
+
+def eigenbasis_engine(H, orbitals: np.ndarray, dt: float,
+                      cond_max: float = EIGENBASIS_COND_MAX) -> tuple:
+    """(engine, cond): the eigenbasis engine for these start orbitals, or None.
+
+    cond is cond(R) cond(Y_T), or inf when `eig` or a solve fails; the engine
+    is None unless cond <= cond_max.
+    """
+    n = orbitals.shape[1]
+    try:
+        lam, R = np.linalg.eig(as_matrix(H))
+        order = np.argsort(-lam.imag, kind="stable")
+        lam, R = lam[order], R[:, order]
+        Y = np.linalg.solve(R, orbitals)
+        K = np.linalg.solve(Y[:n].T, Y[n:].T).T
+    except np.linalg.LinAlgError:
+        return None, float("inf")
+    cond = float(np.linalg.cond(R) * np.linalg.cond(Y[:n]))
+    if not cond <= cond_max:
+        return None, cond
+    return EigenbasisEngine(R[:, :n], R[:, n:], K, lam[n:, None] - lam[None, :n], dt), cond
 
 
 def correlation_matrix(state: SlaterState) -> np.ndarray:
@@ -261,7 +346,9 @@ class TrajectoryRecord:
     """One evolved trajectory: entropy series, sampled densities, final state.
 
     ee_series holds one entry per step from t=0; the entries before the run's
-    entropy_from were not formed and are NaN.
+    entropy_from were not formed and are NaN.  engine names the engine that
+    made the orbitals ("eigenbasis" or "stepper"), and eigenbasis_cond is
+    cond(R) cond(Y_T) of the point (inf when `eig` or a solve failed).
     """
 
     params: ModelParams
@@ -272,6 +359,8 @@ class TrajectoryRecord:
     density_series: np.ndarray
     final_correlation: np.ndarray
     converged: bool = False
+    engine: str = "stepper"
+    eigenbasis_cond: float = float("inf")
 
 
 def _tail_plateau(ee: list) -> bool:
@@ -308,16 +397,39 @@ def run_trajectory(
     on_sample(step, state, C), if given, is called at every density sample for
     additional observables.  C is formed once per density sample; the last
     sample is the final state, whose C is final_correlation.
+
+    The orbitals come from the eigenbasis engine when eigenbasis_engine accepts
+    the point, and then only at the steps read: the entropy steps (the last
+    one among them) and the samples.  Each is evaluated on its own, so a formed entry does
+    not depend on which other steps are read.  Otherwise the stepper advances
+    through every step.
     """
     if schedule.early_stop:
         entropy_from = 0
     entropy_from = max(0, min(entropy_from, schedule.steps + 1 - PLATEAU_SPAN))
-    prop = make_propagator(build_hamiltonian(params), schedule.dt)
+    H = build_hamiltonian(params)
     state = init_z2_state(params.length)
+    engine, cond = eigenbasis_engine(H, state.orbitals, schedule.dt)
+    if engine is not None:
+        state_at = engine.state_at
+    else:
+        prop = make_propagator(H, schedule.dt)
+        stepped = 0
+
+        def state_at(n: int) -> SlaterState:
+            nonlocal state, stepped
+            for stepped in range(stepped + 1, n + 1):
+                try:
+                    state = step_qr(state, prop)
+                except RankDeficiencyError as err:
+                    raise TrajectoryError(f"step {stepped}: {err}") from err
+            return state
+
     ee = []
     density_steps, densities = [], []
 
     def record_entropy(n: int):
+        ee.extend([np.nan] * (n - len(ee)))
         ee.append(half_chain_entropy_from_orbitals(state.orbitals) if n >= entropy_from
                   else np.nan)
 
@@ -331,13 +443,13 @@ def run_trajectory(
 
     record_entropy(0)
     C = sample(0)
+    stride = schedule.sample_stride
     for n in range(1, schedule.steps + 1):
-        try:
-            state = step_qr(state, prop)
-        except RankDeficiencyError as err:
-            raise TrajectoryError(f"step {n}: {err}") from err
+        if n < entropy_from and n % stride != 0:  # the last step is >= entropy_from
+            continue
+        state = state_at(n)
         record_entropy(n)
-        if n % schedule.sample_stride == 0:
+        if n % stride == 0:
             C = sample(n)
         if schedule.early_stop and n % PLATEAU_WINDOW == 0 and _tail_plateau(ee):
             break
@@ -353,4 +465,6 @@ def run_trajectory(
         density_series=np.asarray(densities),
         final_correlation=C,
         converged=_tail_plateau(ee),
+        engine="stepper" if engine is None else "eigenbasis",
+        eigenbasis_cond=cond,
     )

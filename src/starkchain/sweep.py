@@ -19,7 +19,12 @@ the directory, and reads it, like every input it reads, before its first write.
 A point's traj_*.npz, the whole trajectory, is written only under
 save_trajectories: every other output reads the tail of the entropy series or
 the final state, so without it each trajectory forms the half-chain entropy
-only over the tail that the steady reducer reads.  Runs are deterministic: at a
+only over the tail that the steady reducer reads, and a point on the
+eigenbasis engine evaluates its orbitals only at those steps and at the
+density samples.  Each evaluation stands alone, so the tables are the same
+with or without save_trajectories.  diagnostics.csv says which engine
+(`propagation.run_trajectory`) made each point and the condition product that
+chose it.  Runs are deterministic: at a
 fixed BLAS thread count, a rerun with an identical config (including seed)
 produces byte-identical files, independent of the worker count.  Wall-clock
 timing is therefore only recorded when `record_timings` is enabled, since real
@@ -298,16 +303,19 @@ ROW_COLUMNS = [
 ]
 
 
+DIAGNOSTIC_COLUMNS = ["gamma", "delta", "L", "engine", "eigenbasis_cond"]
+
+
 def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> dict:
     """Run one trajectory and write the point's own files into the output directory.
 
     The half-chain entropy is formed only from the first step the steady
     reducer reads (steady_state_start), or at every step under
     save_trajectories, so a saved traj_*.npz holds a whole, finite ee_series.
-    Returns the point's row: its scalars, its mutual information and CFT fit,
-    but no array, so a pool worker sends back only a few hundred bytes.  A
-    failing trajectory is recorded in the row instead of raising; a failing
-    write raises.
+    Returns the point's row: its scalars, its engine and condition product,
+    its mutual information and CFT fit, but no array, so a pool worker sends
+    back only a few hundred bytes.  A failing trajectory is recorded in the
+    row instead of raising; a failing write raises.
     """
     t0 = time.perf_counter()
     result = {
@@ -315,7 +323,7 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
         "boundary": config.boundary.value,
         "s_half_steady": float("nan"), "s_half_raw_final": float("nan"),
         "converged": False, "wall_time_s": 0.0, "error": None,
-        "mi_steady": None, "cft_fit": None,
+        "engine": None, "eigenbasis_cond": None, "mi_steady": None, "cft_fit": None,
     }
     mi_steps: list = []
     mi_vals: list = []
@@ -344,6 +352,8 @@ def _run_point(config: SweepConfig, gamma: float, delta: float, length: int) -> 
     result["s_half_steady"] = steady_state_entropy(record, sm.sigma, sm.tail_fraction)
     result["s_half_raw_final"] = float(record.ee_series[-1])
     result["converged"] = bool(record.converged)
+    result["engine"] = record.engine
+    result["eigenbasis_cond"] = record.eigenbasis_cond
     if config.record_timings:
         result["wall_time_s"] = time.perf_counter() - t0
 
@@ -460,8 +470,8 @@ def _output_dir(config: SweepConfig) -> Path:
 # Names of every file a run writes besides manifest.json, as glob patterns.  This
 # is the one record of a run's files: what a grid run clears before it starts and
 # what every manifest lists.
-RUN_OUTPUTS = ("sweep.csv", "boundaries.csv", "mutual_info.csv", "power_law.json",
-               "collapse.json", "collapse_g*.csv", "fractal.csv", "cft_fit.json",
+RUN_OUTPUTS = ("sweep.csv", "diagnostics.csv", "boundaries.csv", "mutual_info.csv",
+               "power_law.json", "collapse.json", "collapse_g*.csv", "fractal.csv", "cft_fit.json",
                "profile_*.csv", "density_*.csv", "traj_*.npz")
 
 
@@ -469,8 +479,8 @@ def _start_run(config: SweepConfig) -> Path:
     """Make the output directory and delete an earlier run's results in it.
 
     It deletes manifest.json and every file matching RUN_OUTPUTS: sweep.csv,
-    spectral's boundaries.csv, the analysis files and the per-point profile_*,
-    density_* and traj_* files.  Workers write each point's files as it
+    diagnostics.csv, spectral's boundaries.csv, the analysis files and the
+    per-point profile_*, density_* and traj_* files.  Workers write each point's files as it
     finishes, so this runs before the grid starts; the directory then holds
     only this run's results, and holds a manifest only once the run has
     finished.  Other files, such as export tables (fig_*), stay.
@@ -484,9 +494,13 @@ def _start_run(config: SweepConfig) -> Path:
 
 def _emit_results(config: SweepConfig, outdir: Path, results: list,
                   fractal: list | None):
-    """Write sweep.csv and the whole-run analyses; the per-point files are already written."""
+    """Write sweep.csv, diagnostics.csv and the whole-run analyses; the per-point
+    files are already written.  diagnostics.csv has a row for each point that ran
+    to its end."""
     write_csv(outdir / "sweep.csv", ROW_COLUMNS, [[r[c] for c in ROW_COLUMNS] for r in results])
     ok = [r for r in results if r["error"] is None]
+    write_csv(outdir / "diagnostics.csv", DIAGNOSTIC_COLUMNS,
+              [[r[c] for c in DIAGNOSTIC_COLUMNS] for r in ok])
 
     if config.analyses.mutual_info:
         mi_rows = [

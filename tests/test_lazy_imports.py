@@ -2,7 +2,8 @@
 
 Importing starkchain loads no scipy at all, and no starkchain code loads
 scipy.optimize: the collapse fit runs its own Nelder-Mead.  scipy.linalg
-serves only the biorthogonal spectrum (the step matrix is built with numpy),
+serves only the biorthogonal spectrum (the step matrix and the eigenbasis
+engine use numpy alone),
 and concurrent.futures.process only a sweep with a worker pool.  Each check
 runs in a fresh interpreter, since the test process may have loaded them all
 already.
@@ -74,6 +75,12 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         "gamma_values": [-0.5], "delta_values": [0.1, 0.2], "sizes": [8],
         "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
         "analyses": {"cft_fit": True}, "save_trajectories": True}))
+    # a ring below its real-spectrum threshold: every point takes the eigenbasis engine
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({
+        "gamma_values": [-0.5], "delta_values": [0.001], "sizes": [8, 16],
+        "boundary": "periodic", "schedule": {"dt": 10.0, "steps": 40, "sample_stride": 10},
+        "analyses": {"cft_fit": True}}))
     # enough sizes and deltas for the collapse fits to run their simplex
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
@@ -118,6 +125,9 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         run("export", "--kind", "entropy_profile", "--output", f"{{out}}/w2",
             "--gamma", "-0.5", "--delta", "0.1", "--size", "8")
         run("verify", "--input", f"{{out}}/w2/traj_g-0.5_d0.1_L8.npz")
+        run("simulate", "--config", {str(ring)!r}, "--output", f"{{out}}/ring")
+        with open(f"{{out}}/ring/diagnostics.csv") as fh:
+            print(sorted({{line.split(",")[3] for line in fh.read().splitlines()[1:]}}))
         run("simulate", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
         run("collapse", "--config", {str(grid)!r}, "--output", f"{{out}}/pd")
         run("spectral", "--config", {str(grid)!r}, "--output", f"{{out}}/sp")
@@ -130,5 +140,6 @@ def test_simulate_export_and_verify_never_load_scipy_linalg(tmp_path):
         print([m for m in watched if m in sys.modules])
     """)
     assert lines == ["import 0 []", "simulate 0 []", "simulate 0 []", "export 0 []",
-                     "verify 0 []", "simulate 0 []", "collapse 0 []", "spectral 0 []",
+                     "verify 0 []", "simulate 0 []", "['eigenbasis']", "simulate 0 []",
+                     "collapse 0 []", "spectral 0 []",
                      "False", "['-0.3', '-0.5']", "['scipy.linalg']"]

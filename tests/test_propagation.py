@@ -269,32 +269,113 @@ def test_on_sample_callback_sees_every_stride():
     assert seen == [0, 25, 50, 75, 100]
 
 
-def full_correlation_replay(params, schedule) -> tuple[list, np.ndarray]:
-    """Per-step half-chain entropies from the whole C, and the final C."""
-    prop = make_propagator(build_hamiltonian(params), schedule.dt)
+def full_correlation_replay(params, schedule, engine="stepper") -> tuple[list, np.ndarray]:
+    """Per-step half-chain entropies from the whole C, and the final C.
+
+    The states come from `engine`: step_qr through every step, or the
+    eigenbasis engine evaluated at each step.
+    """
+    H = build_hamiltonian(params)
     state = init_z2_state(params.length)
+    if engine == "eigenbasis":
+        basis, _ = propagation.eigenbasis_engine(H, state.orbitals, schedule.dt)
+        advance = lambda state, n: basis.state_at(n)  # noqa: E731
+    else:
+        prop = make_propagator(H, schedule.dt)
+        advance = lambda state, n: step_qr(state, prop)  # noqa: E731
     ee = [half_chain_entropy(correlation_matrix(state))]
-    for _ in range(schedule.steps):
-        state = step_qr(state, prop)
+    for n in range(1, schedule.steps + 1):
+        state = advance(state, n)
         ee.append(half_chain_entropy(correlation_matrix(state)))
     return ee, correlation_matrix(state)
 
 
-@pytest.mark.parametrize("gamma,delta,L,boundary", [
-    (-0.5, 0.1, 8, Boundary.OPEN),
-    (-0.5, 0.1, 32, Boundary.OPEN),
-    (-0.5, 0.1, 64, Boundary.OPEN),
-    (-0.5, 0.001, 8, Boundary.PERIODIC),
-    (-0.5, 0.001, 32, Boundary.PERIODIC),
-    (-0.5, 0.001, 64, Boundary.PERIODIC),
+@pytest.mark.parametrize("gamma,delta,L,boundary,engine", [
+    (-0.5, 0.1, 8, Boundary.OPEN, "eigenbasis"),
+    (-0.5, 0.1, 32, Boundary.OPEN, "stepper"),
+    (-0.5, 0.1, 64, Boundary.OPEN, "stepper"),
+    (-0.5, 0.001, 8, Boundary.PERIODIC, "eigenbasis"),
+    (-0.5, 0.001, 32, Boundary.PERIODIC, "eigenbasis"),
+    (-0.5, 0.001, 64, Boundary.PERIODIC, "eigenbasis"),
+    # past the ring's real-spectrum threshold R is ill-conditioned
+    (-0.5, 0.3, 64, Boundary.PERIODIC, "stepper"),
     # ill-conditioned: wrong against high-precision oracles, but the orbital
     # entropy must still reproduce the whole-C values bit for bit
-    (-0.5, 0.001, 96, Boundary.OPEN),
+    (-0.5, 0.001, 96, Boundary.OPEN, "stepper"),
 ])
-def test_trajectory_entropy_equals_full_correlation_replay(gamma, delta, L, boundary):
+def test_trajectory_entropy_equals_full_correlation_replay(gamma, delta, L, boundary, engine):
     params = ModelParams(gamma, delta, L, boundary)
     schedule = Schedule(dt=10.0, steps=150, sample_stride=40)
     rec = run_trajectory(params, schedule)
+    assert rec.engine == engine
+    ee, C = full_correlation_replay(params, schedule, engine)
+    assert rec.ee_series.tolist() == ee
+    assert np.array_equal(rec.final_correlation, C)
+
+
+@pytest.mark.parametrize("delta,L", [(0.001, 16), (0.001, 32), (0.001, 64), (0.05, 16)])
+def test_eigenbasis_engine_matches_the_stepper(delta, L):
+    params = ModelParams(-0.5, delta, L, Boundary.PERIODIC)
+    schedule = Schedule(dt=10.0, steps=300, sample_stride=50)
+    rec = run_trajectory(params, schedule)
+    assert rec.engine == "eigenbasis"
+    assert rec.eigenbasis_cond <= propagation.EIGENBASIS_COND_MAX
+    ee, C = full_correlation_replay(params, schedule)
+    assert np.isfinite(rec.ee_series).all()
+    assert np.max(np.abs(rec.ee_series - ee)) < 1e-9
+    assert np.max(np.abs(rec.final_correlation - C)) < 1e-9
+
+
+def test_eigenbasis_engine_visits_only_the_steps_read(monkeypatch):
+    times = []
+    original = propagation.EigenbasisEngine.state_at
+
+    def counting(self, n):
+        times.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(propagation.EigenbasisEngine, "state_at", counting)
+    schedule = Schedule(dt=10.0, steps=1000, sample_stride=50)
+    rec = run_trajectory(ModelParams(-0.5, 0.001, 16, Boundary.PERIODIC), schedule,
+                         entropy_from=900)
+    formed = (1000 + 1 - propagation.PLATEAU_SPAN)  # converged's window
+    assert times == sorted({*range(50, 1001, 50), *range(formed, 1001)})
+    assert np.isnan(rec.ee_series[1:formed]).all() and np.isfinite(rec.ee_series[formed:]).all()
+
+
+def _singular_top_block(params):
+    # diagonal H whose growing modes sit on the empty sites: R = 1 and Y_T = 0
+    growth = (np.arange(params.length) % 2 == 0).astype(float)
+    return np.diag(params.delta * np.arange(1, params.length + 1) + 1j * growth)
+
+
+def test_eigenbasis_failures_fall_back_to_the_stepper(monkeypatch):
+    params = ModelParams(-0.5, 0.001, 16, Boundary.PERIODIC)
+    schedule = Schedule(dt=10.0, steps=120, sample_stride=40)
+    H = _singular_top_block(params)
+    assert propagation.eigenbasis_engine(H, init_z2_state(16).orbitals, 10.0) == (
+        None, float("inf"))
+
+    def replay(H):
+        prop = make_propagator(H, schedule.dt)
+        state = init_z2_state(params.length)
+        for _ in range(schedule.steps):
+            state = step_qr(state, prop)
+        return correlation_matrix(state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "build_hamiltonian", _singular_top_block)
+        rec = run_trajectory(params, schedule)
+    assert (rec.engine, rec.eigenbasis_cond) == ("stepper", float("inf"))
+    assert np.array_equal(rec.final_correlation, replay(H))
+
+    def failing_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eig", failing_eig)
+        rec = run_trajectory(params, schedule)
+    assert (rec.engine, rec.eigenbasis_cond) == ("stepper", float("inf"))
     ee, C = full_correlation_replay(params, schedule)
     assert rec.ee_series.tolist() == ee
     assert np.array_equal(rec.final_correlation, C)

@@ -274,6 +274,31 @@ def test_a_row_export_whose_filter_matches_no_row_writes_nothing(tmp_path, capsy
     assert not (tmp_path / f"fig_{kind}.csv").exists()
 
 
+@pytest.mark.parametrize("kind, flags, says", [
+    ("s_vs_delta", ["--gamma", "-0.5", "--delta", "0.1", "--size", "8"], "--delta, --size"),
+    ("s_vs_L", ["--gamma", "-0.5", "--delta", "0.1", "--size", "8"], "--size"),
+    ("mutual_info", ["--gamma", "-0.5", "--size", "8"], "--size"),
+    ("fractal_map", ["--gamma", "-0.5"], "--gamma"),
+])
+def test_an_export_flag_its_kind_does_not_read_writes_nothing(tmp_path, capsys, kind, flags,
+                                                               says):
+    cells = {"gamma": -0.5, "delta": 0.1, "L": 8, "boundary": "open", "s_half_steady": 1.0,
+             "s_half_raw_final": 1.0, "converged": True, "wall_time_s": 0.0, "mi": 1.0,
+             "gamma_bar": 0.5}
+    for source, header in (("sweep.csv", ROW_COLUMNS),
+                           ("mutual_info.csv", ["gamma", "delta", "L", "mi"]),
+                           ("fractal.csv", ["gamma", "delta", "L", "gamma_bar"])):
+        write_csv(tmp_path / source, header, [[cells[c] for c in header]])
+    assert cli_main(["export", "--kind", kind, "--output", str(tmp_path), *flags]) == 2
+    assert f"{kind} export does not read {says}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fig_*"))
+    # without the unread flags the same export writes its table
+    read = [f for i in range(0, len(flags), 2) if flags[i] not in says
+            for f in flags[i:i + 2]]
+    assert cli_main(["export", "--kind", kind, "--output", str(tmp_path), *read]) == 0
+    assert list(tmp_path.glob("fig_*.csv"))
+
+
 def test_export_missing_inputs_listed(tmp_path):
     with pytest.raises(FileNotFoundError, match="sweep.csv"):
         export_figure_data("s_vs_delta", tmp_path, gamma=-0.5)
@@ -650,10 +675,10 @@ def test_simulate_clears_earlier_analysis_outputs(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
     assert [cli_main(call) for call in exports] == [3, 3]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
+    assert [f["path"] for f in manifest["files"]] == ["diagnostics.csv", "sweep.csv"]
     # export tables and files the sweep never writes stay
     assert sorted(p.name for p in out.iterdir()) == [
-        "fig_mutual_info.csv",
+        "diagnostics.csv", "fig_mutual_info.csv",
         f"fig_profile_{point_tag(-0.5, 0.15, 16)}.csv",
         "manifest.json", "notes.txt", "sweep.csv",
     ]
@@ -796,6 +821,36 @@ def test_point_row_holds_no_array_and_the_point_writes_its_own_files(tmp_path):
     assert set(row["cft_fit"]) in ({"c", "const", "rms_residual"}, {"error"})
 
 
+@pytest.mark.parametrize("boundary,engines", [
+    ("periodic", {8: "eigenbasis", 16: "eigenbasis"}),
+    ("open", {8: "eigenbasis", 16: "stepper"}),  # the open chain's R grows with L
+])
+def test_diagnostics_name_each_points_engine_and_condition(tmp_path, boundary, engines):
+    out = tmp_path / "out"
+    raw = {**FAST, "delta_values": [0.001], "sizes": sorted(engines), "boundary": boundary,
+           "output_dir": str(out)}
+    run_sweep(config_from_dict(raw))
+    assert (out / "diagnostics.csv").read_text().splitlines()[0] == (
+        "gamma,delta,L,engine,eigenbasis_cond")
+    rows = read_csv(out / "diagnostics.csv", {"L": int, "engine": str, "eigenbasis_cond": float})
+    assert {r["L"]: r["engine"] for r in rows} == engines
+    for r in rows:
+        rec = propagation.run_trajectory(ModelParams(-0.5, 0.001, r["L"], boundary),
+                                         Schedule(**FAST["schedule"]))
+        assert (r["engine"], r["eigenbasis_cond"]) == (rec.engine, rec.eigenbasis_cond)
+
+
+def test_diagnostics_read_inf_when_eig_fails(tmp_path, monkeypatch):
+    def failing_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    out = tmp_path / "out"
+    run_sweep(config_from_dict({**FAST, "sizes": [8], "output_dir": str(out)}))
+    assert (out / "diagnostics.csv").read_text().splitlines()[1:] == [
+        "-5.00000000000000000e-01,1.49999999999999994e-01,8,stepper,inf"]
+
+
 def test_every_listed_file_is_byte_equal_across_worker_counts(tmp_path):
     manifests = []
     for workers in (1, 2):
@@ -805,7 +860,8 @@ def test_every_listed_file_is_byte_equal_across_worker_counts(tmp_path):
     files = [{f["path"]: f["sha256"] for f in m["files"]} for m in manifests]
     assert files[0] == files[1]
     tags = [point_tag(-0.5, d, L) for d in (0.1, 0.3) for L in (8, 16)]
-    assert set(files[0]) == {"sweep.csv", "mutual_info.csv", "fractal.csv", "cft_fit.json",
+    assert set(files[0]) == {"sweep.csv", "diagnostics.csv", "mutual_info.csv", "fractal.csv",
+                             "cft_fit.json",
                              *(f"{kind}_{tag}.{ext}" for tag in tags for kind, ext in
                                (("traj", "npz"), ("profile", "csv"), ("density", "csv")))}
     for name in files[0]:
@@ -954,8 +1010,12 @@ def test_spectral_into_a_partial_sweep_keeps_its_files_and_status(tmp_path, monk
     manifest = assert_manifest_describes(out)
     assert manifest["status"] == "partial" and manifest["row_errors"] == swept["row_errors"]
     assert {f["path"] for f in manifest["files"]} == {
-        "sweep.csv", "cft_fit.json", f"profile_{point_tag(-0.5, 0.15, 8)}.csv",
-        "fractal.csv", "boundaries.csv"}
+        "sweep.csv", "diagnostics.csv", "cft_fit.json",
+        f"profile_{point_tag(-0.5, 0.15, 8)}.csv", "fractal.csv", "boundaries.csv"}
+    # the failed point has no diagnostics row
+    assert [(r["L"], r["engine"]) for r in read_csv(out / "diagnostics.csv",
+                                                     {"L": int, "engine": str})] == [
+        (8, "eigenbasis")]
     # without an earlier manifest there is no failed row to keep
     fresh = run_spectral(config_from_dict({**raw, "output_dir": str(tmp_path / "fresh")}))
     assert fresh["status"] == "complete" and fresh["row_errors"] == []
@@ -969,7 +1029,7 @@ def test_simulate_into_a_spectral_directory_removes_its_tables(tmp_path):
     assert (out / "fractal.csv").exists() and (out / "boundaries.csv").exists()
     manifest = run_sweep(config_from_dict(raw))
     assert not (out / "fractal.csv").exists() and not (out / "boundaries.csv").exists()
-    assert [f["path"] for f in manifest["files"]] == ["sweep.csv"]
+    assert [f["path"] for f in manifest["files"]] == ["diagnostics.csv", "sweep.csv"]
 
 
 # A 2-gamma phase diagram that runs in about a second, with the 5 deltas and 3
