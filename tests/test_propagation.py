@@ -338,7 +338,7 @@ def test_eigenbasis_engine_visits_only_the_steps_read(monkeypatch):
     schedule = Schedule(dt=10.0, steps=1000, sample_stride=50)
     rec = run_trajectory(ModelParams(-0.5, 0.001, 16, Boundary.PERIODIC), schedule,
                          entropy_from=900)
-    formed = (1000 + 1 - propagation.PLATEAU_SPAN)  # converged's window
+    formed = 1000 + 1 - propagation.PLATEAU_SPAN  # converged reads this window
     assert times == sorted({*range(50, 1001, 50), *range(formed, 1001)})
     assert np.isnan(rec.ee_series[1:formed]).all() and np.isfinite(rec.ee_series[formed:]).all()
 
