@@ -10,9 +10,9 @@ R_T + R_B (K o exp(-i t (lam_B - lam_T))), every exponent having a real part
 <= 0, so nothing overflows at any t.  Its orbitals are the phase-fixed
 Householder Q of that matrix.  Each read time is evaluated on its own, so a
 trajectory visits only the steps something reads.  It is used when `eig` and
-both solves succeed and cond(R) cond(Y_T) <= EIGENBASIS_COND_MAX; in this
-package that is the ring below its real-spectrum threshold and small open
-chains, never the skin-regime open chain, whose R is ill-conditioned.
+both solves succeed and cond(R) cond(Y_T) <= EIGENBASIS_COND_MAX: in practice
+the ring at small delta L and open chains of about 8 sites, never the longer
+skin-regime open chain, whose R is ill-conditioned.
 
 The stepper multiplies the orbitals by the fixed step matrix exp(-i H dt),
 built once by the scaling-and-squaring Pade [13/13] method of Higham (SIAM J.
