@@ -275,7 +275,7 @@ def full_correlation_replay(params, schedule, engine="stepper") -> tuple[list, n
     The states come from `engine`: step_qr through every step, or the
     eigenbasis engine evaluated at each step.
     """
-    H = build_hamiltonian(params)
+    H = propagation.build_hamiltonian(params)  # as run_trajectory builds it
     state = init_z2_state(params.length)
     if engine == "eigenbasis":
         basis, _ = propagation.eigenbasis_engine(H, state.orbitals, schedule.dt)
@@ -349,32 +349,19 @@ def _singular_top_block(params):
     return np.diag(params.delta * np.arange(1, params.length + 1) + 1j * growth)
 
 
-def test_eigenbasis_failures_fall_back_to_the_stepper(monkeypatch):
+def _failing_eig(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("module,name,fake", [
+    (propagation, "build_hamiltonian", _singular_top_block),
+    (np.linalg, "eig", _failing_eig),
+], ids=["singular_top_block", "eig_raises"])
+def test_eigenbasis_failures_fall_back_to_the_stepper(monkeypatch, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
     params = ModelParams(-0.5, 0.001, 16, Boundary.PERIODIC)
     schedule = Schedule(dt=10.0, steps=120, sample_stride=40)
-    H = _singular_top_block(params)
-    assert propagation.eigenbasis_engine(H, init_z2_state(16).orbitals, 10.0) == (
-        None, float("inf"))
-
-    def replay(H):
-        prop = make_propagator(H, schedule.dt)
-        state = init_z2_state(params.length)
-        for _ in range(schedule.steps):
-            state = step_qr(state, prop)
-        return correlation_matrix(state)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(propagation, "build_hamiltonian", _singular_top_block)
-        rec = run_trajectory(params, schedule)
-    assert (rec.engine, rec.eigenbasis_cond) == ("stepper", float("inf"))
-    assert np.array_equal(rec.final_correlation, replay(H))
-
-    def failing_eig(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eig", failing_eig)
-        rec = run_trajectory(params, schedule)
+    rec = run_trajectory(params, schedule)
     assert (rec.engine, rec.eigenbasis_cond) == ("stepper", float("inf"))
     ee, C = full_correlation_replay(params, schedule)
     assert rec.ee_series.tolist() == ee
